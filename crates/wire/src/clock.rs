@@ -1,13 +1,13 @@
 //! The runtime seam: one trait between the event loops and time.
 //!
-//! Everything in this crate that paces, times out, or timestamps does
+//! Everything in this crate that timestamps or computes a deadline does
 //! it through [`WireClock`] — in the style of `tor-rtcompat`'s runtime
 //! abstraction, shrunk to what a datagram loop actually needs. The
 //! engines ([`crate::server::ServerEngine`], [`crate::load::LoadEngine`])
 //! never touch the trait at all: they take `SimTime` arguments, so the
 //! caller decides whether "now" came from a wall clock or a test
-//! script. The socket loops take a `&impl WireClock`, which is what
-//! makes them drivable in unit tests without sockets *or* sleeps.
+//! script. The socket loops take a `&impl WireClock` and block only in
+//! their socket, so the trait is a clock and nothing else.
 //!
 //! [`WallClock`] is the production implementation (monotonic
 //! `Instant`); [`ManualClock`] is the test one (time moves only when
@@ -24,10 +24,6 @@ pub trait WireClock {
     /// wall clock). The sim's `SimTime` is reused so fleet timers and
     /// listener deadlines need no conversion.
     fn now(&self) -> SimTime;
-
-    /// Blocks (or virtually advances) for `d`. Loops use this for
-    /// idle pacing, never for correctness.
-    fn sleep(&self, d: SimDuration);
 }
 
 /// Monotonic wall-clock time since construction.
@@ -55,16 +51,11 @@ impl WireClock for WallClock {
         let elapsed = self.epoch.elapsed();
         SimTime::from_nanos(elapsed.as_nanos().min(u64::MAX as u128) as u64)
     }
-
-    fn sleep(&self, d: SimDuration) {
-        std::thread::sleep(std::time::Duration::from_nanos(d.as_nanos()));
-    }
 }
 
 /// Scripted time for tests: `now` is a counter the test advances.
-/// `sleep` advances it, so a loop that paces itself makes progress
-/// without real delay. Atomic so a clock can be shared across the
-/// loop under test and the asserting thread.
+/// Atomic so a clock can be shared across the loop under test and the
+/// asserting thread.
 #[derive(Default)]
 pub struct ManualClock {
     nanos: AtomicU64,
@@ -86,10 +77,6 @@ impl WireClock for ManualClock {
     fn now(&self) -> SimTime {
         SimTime::from_nanos(self.nanos.load(Ordering::Relaxed))
     }
-
-    fn sleep(&self, d: SimDuration) {
-        self.advance(d);
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +89,7 @@ mod tests {
         assert_eq!(c.now(), SimTime::ZERO);
         c.advance(SimDuration::from_millis(5));
         assert_eq!(c.now(), SimTime::from_millis(5));
-        c.sleep(SimDuration::from_millis(5));
+        c.advance(SimDuration::from_millis(5));
         assert_eq!(c.now(), SimTime::from_millis(10));
     }
 

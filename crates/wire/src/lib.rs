@@ -14,10 +14,12 @@
 //!   generic over it and unit-testable without sockets.
 //! * [`frame`] — the datagram framing (magic, version, endpoint,
 //!   encoded segment).
-//! * [`server`] — `ServerEngine` (sans-socket) + `LiveServer` (reader
-//!   thread with recycled decode arenas feeding a stepping thread).
+//! * [`server`] — `ServerEngine` (sans-socket) + `LiveServer` (one
+//!   run-to-completion loop: take what the socket holds, step, reply;
+//!   a wake is at most 256 datagrams and one flush).
 //! * [`load`] — `LoadEngine` (harness-driven `hostsim` fleets) +
-//!   `LiveLoad` (single-threaded replay loop). Reports handshakes/sec,
+//!   `LiveLoad` (single-threaded replay loop, one reply per turn, never
+//!   waiting past the next fleet timer). Reports handshakes/sec,
 //!   goodput, and completion-latency percentiles measured at the wire
 //!   boundary.
 //!

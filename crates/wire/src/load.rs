@@ -332,16 +332,16 @@ impl LiveLoad {
     }
 
     /// Drives the fleets against the server for `duration` (by
-    /// `clock`), then returns the final report. Single-threaded: one
-    /// loop alternates recv-drain, deliver, and advance.
+    /// `clock`), then returns the final report. Single-threaded: each
+    /// turn of the loop advances the fleets (sending what they emit),
+    /// then waits for one reply — no longer than until the next fleet
+    /// timer, which is read afresh every turn because `deliver` arms new
+    /// ones (a solved challenge's ACK is a timer).
     ///
     /// # Panics
     ///
     /// Panics if socket configuration (read timeout) fails.
     pub fn run<C: WireClock>(mut self, clock: &C, duration: SimDuration) -> LoadReport {
-        self.socket
-            .set_read_timeout(Some(std::time::Duration::from_millis(1)))
-            .expect("set_read_timeout");
         let socket = &self.socket;
         let deadline = clock.now() + duration;
         let mut buf = [0u8; MAX_FRAME_LEN + 64];
@@ -354,27 +354,22 @@ impl LiveLoad {
             self.engine.advance(now, &mut |bytes| {
                 let _ = socket.send(bytes);
             });
-            // Drain replies until the next fleet timer is due (the recv
-            // timeout doubles as the idle pacer).
             let next = self
                 .engine
                 .next_timer_at()
                 .unwrap_or(deadline)
                 .min(deadline);
-            loop {
-                match socket.recv(&mut buf) {
-                    Ok(n) => {
-                        if let Ok((endpoint, seg)) = decode_frame(&buf[..n]) {
-                            self.engine.deliver(clock.now(), endpoint, seg);
-                        }
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut => {}
-                    Err(_) => {}
-                }
-                if clock.now() >= next {
-                    break;
+            // The read time-out is the idle pacer. A zero time-out is
+            // rejected by the socket API, and one read per turn keeps
+            // replies flowing when the fleets are behind schedule.
+            let wait = std::time::Duration::from_nanos(next.since(clock.now()).as_nanos().max(1));
+            socket
+                .set_read_timeout(Some(wait))
+                .expect("set_read_timeout");
+            // A time-out or a transient socket error: back to the timers.
+            if let Ok(n) = socket.recv(&mut buf) {
+                if let Ok((endpoint, seg)) = decode_frame(&buf[..n]) {
+                    self.engine.deliver(clock.now(), endpoint, seg);
                 }
             }
         }

@@ -9,11 +9,15 @@
 //!   `GET /gettext/<n>` requests, the retransmit `poll` cadence — is
 //!   here, unit-testable with a [`crate::clock::ManualClock`] and no
 //!   I/O.
-//! * [`LiveServer`] owns the socket and the threads: a reader thread
-//!   batch-receives datagrams into reused arenas and decodes them off
-//!   the stepping thread (the PR 6 worker-pipeline idiom, one SPSC
-//!   hand-off ring built from channels), while the stepping thread
-//!   drives the engine and transmits replies.
+//! * [`LiveServer`] owns the socket and runs the engine to completion
+//!   on one thread: block for a datagram, take whatever else the
+//!   kernel already holds, step, reply, repeat. There is no hand-off,
+//!   so a datagram never waits for a batch to fill: the batch the
+//!   listener sees is the backlog that built up while the last one was
+//!   being served — one datagram on a calm socket, [`RX_BATCH`] at
+//!   saturation, which is exactly when the batched issue/verify paths
+//!   have something to amortise. `shards > 1` still goes multicore
+//!   inside `ShardedListener`'s own persistent workers.
 //!
 //! Unlike the sim's `ServerHost`, the engine serves requests
 //! immediately — no worker pool or service-rate model. The live path
@@ -25,7 +29,6 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 
 use netsim::{SimDuration, SimTime};
 use puzzle_core::ServerSecret;
@@ -37,6 +40,11 @@ use tcpstack::{
 
 use crate::clock::WireClock;
 use crate::frame::{decode_frame, encode_frame, MAX_FRAME_LEN};
+
+/// Most datagrams one wake of [`LiveServer::run`] takes off the socket
+/// before it steps the engine — received, decodable or not, so a
+/// garbage flood cannot hold off `flush` and the retransmit poll.
+const RX_BATCH: usize = 256;
 
 /// Everything the live server needs to stand up its listener.
 pub struct ServerConfig {
@@ -108,6 +116,9 @@ pub struct ServerEngine {
     accepted: HashSet<FlowKey>,
     /// Parsed `gettext` sizes awaiting their flow's accept.
     pending: HashMap<FlowKey, usize>,
+    /// Flows that became both accepted and pending during this flush,
+    /// in the order they did: the serving order. Reused across flushes.
+    ready: Vec<FlowKey>,
     /// Ingress batch, reused across flushes.
     batch: Vec<(std::net::Ipv4Addr, TcpSegment)>,
     /// Egress scratch, reused across replies.
@@ -140,6 +151,7 @@ impl ServerEngine {
             peers: HashMap::new(),
             accepted: HashSet::new(),
             pending: HashMap::new(),
+            ready: Vec::new(),
             batch: Vec::new(),
             scratch: Vec::new(),
             decode_errors: 0,
@@ -150,51 +162,22 @@ impl ServerEngine {
     }
 
     /// Ingests one raw datagram: frame-decode inline, count failures.
-    /// The socket loop's reader thread uses [`ServerEngine::ingest_decoded`]
-    /// instead so decoding runs off the stepping thread.
     pub fn ingest_datagram(&mut self, from: SocketAddr, bytes: &[u8]) {
         self.datagrams_rx += 1;
-        match decode_frame(bytes) {
-            Ok((endpoint, seg)) => self.enqueue(from, endpoint, seg),
-            Err(_) => self.decode_errors += 1,
-        }
-    }
-
-    /// Ingests an already-decoded frame (reader-thread path).
-    pub fn ingest_decoded(
-        &mut self,
-        from: SocketAddr,
-        endpoint: std::net::Ipv4Addr,
-        seg: TcpSegment,
-    ) {
-        self.datagrams_rx += 1;
-        self.enqueue(from, endpoint, seg);
-    }
-
-    /// Accounts datagrams the reader thread failed to decode.
-    pub fn note_decode_errors(&mut self, n: u64) {
-        self.datagrams_rx += n;
-        self.decode_errors += n;
-    }
-
-    fn enqueue(&mut self, from: SocketAddr, endpoint: std::net::Ipv4Addr, seg: TcpSegment) {
-        if seg.dst_port != self.port {
-            // Deliverable nowhere: counts with the malformed input.
-            self.decode_errors += 1;
-            return;
-        }
+        let (endpoint, seg) = match decode_frame(bytes) {
+            Ok(frame) if frame.1.dst_port == self.port => frame,
+            // Undecodable, or deliverable nowhere: malformed input alike.
+            _ => {
+                self.decode_errors += 1;
+                return;
+            }
+        };
         let flow = FlowKey {
             addr: endpoint,
             port: seg.src_port,
         };
         self.peers.insert(flow, from);
         self.batch.push((endpoint, seg));
-    }
-
-    /// Pending ingress not yet flushed (the socket loop flushes when
-    /// this reaches its batch size or the recv window goes idle).
-    pub fn batch_len(&self) -> usize {
-        self.batch.len()
     }
 
     /// Steps the listener over the ingress batch, serves application
@@ -210,6 +193,9 @@ impl ServerEngine {
                     ListenerEvent::Data { flow, payload, fin } => {
                         if let Some(size) = hostsim::parse_gettext_request(&payload) {
                             self.pending.insert(flow, size);
+                            if self.accepted.contains(&flow) {
+                                self.ready.push(flow);
+                            }
                         } else if fin && self.pending.remove(&flow).is_none() {
                             // Peer closed without a parseable request.
                             if self.accepted.remove(&flow) {
@@ -228,23 +214,31 @@ impl ServerEngine {
         }
         while let Some(flow) = self.listener.accept() {
             self.accepted.insert(flow);
+            if self.pending.contains_key(&flow) {
+                self.ready.push(flow);
+            }
         }
         // Serve every accepted flow with a parsed request: immediate
         // send_data with FIN (no service-time model — see module docs).
-        let ready: Vec<(FlowKey, usize)> = self
-            .pending
-            .iter()
-            .filter(|(flow, _)| self.accepted.contains(*flow))
-            .map(|(flow, size)| (*flow, *size))
-            .collect();
-        for (flow, size) in ready {
-            self.pending.remove(&flow);
+        // Between flushes no flow is both accepted and pending, so
+        // `ready` holds every candidate, in arrival order; a flow can be
+        // listed twice or have lost its request to a bare FIN since, so
+        // both sets are checked again.
+        let mut ready = std::mem::take(&mut self.ready);
+        for flow in ready.drain(..) {
+            if !self.accepted.contains(&flow) {
+                continue;
+            }
+            let Some(size) = self.pending.remove(&flow) else {
+                continue;
+            };
             self.accepted.remove(&flow);
             let segs = self.listener.send_data(flow, size, true);
             self.requests_served += 1;
             self.transmit(segs, sink);
             self.peers.remove(&flow);
         }
+        self.ready = ready;
         if now >= self.next_poll {
             let retx = self.listener.poll(now);
             self.transmit(retx, sink);
@@ -296,15 +290,6 @@ impl ServerEngine {
     }
 }
 
-/// A decoded-frame batch handed from the reader thread to the stepper.
-struct RxBatch {
-    frames: Vec<(SocketAddr, std::net::Ipv4Addr, TcpSegment)>,
-    decode_errors: u64,
-}
-
-/// Reader-thread batch bound: how many datagrams one hand-off carries.
-const RX_BATCH: usize = 256;
-
 /// The socket front of the live server.
 pub struct LiveServer {
     socket: UdpSocket,
@@ -335,107 +320,55 @@ impl LiveServer {
         self.socket.local_addr()
     }
 
-    /// Runs until `stop` goes true: a reader thread batch-receives and
-    /// decodes datagrams into recycled arenas (one SPSC hand-off, the
-    /// PR 6 pipeline idiom built from channels), while this thread
-    /// drives the engine and transmits replies. Returns the final
-    /// stats snapshot.
+    /// Runs until `stop` goes true, then returns the final stats
+    /// snapshot. One run-to-completion loop on the calling thread:
+    ///
+    /// 1. block in `recv_from` for the first datagram — or for
+    ///    `poll_interval`, so an idle socket still honours `stop` and the
+    ///    retransmit poll;
+    /// 2. take whatever the kernel already holds, without blocking, up
+    ///    to [`RX_BATCH`] datagrams in all;
+    /// 3. `flush` once and `send_to` the replies.
+    ///
+    /// Draining what is there beats filling to a target: a fill target
+    /// makes every datagram wait for the batch (170 ms for 256 datagrams
+    /// at 500 handshakes/s, twice per handshake), while the backlog that
+    /// builds up during a step *is* the load, so batches grow exactly
+    /// when there is work to amortise. A wake is bounded by `RX_BATCH`
+    /// datagrams and one flush, whatever arrives meanwhile.
     ///
     /// # Panics
     ///
-    /// Panics if socket configuration (read timeout) fails.
-    pub fn run<C: WireClock + Sync>(mut self, clock: &C, stop: &AtomicBool) -> WireServerStats {
-        // work: reader → stepper (filled batches); pool: stepper →
-        // reader (empties back, so arenas are reused, not reallocated).
-        let (work_tx, work_rx) = mpsc::channel::<RxBatch>();
-        let (pool_tx, pool_rx) = mpsc::channel::<RxBatch>();
-        for _ in 0..4 {
-            let _ = pool_tx.send(RxBatch {
-                frames: Vec::with_capacity(RX_BATCH),
-                decode_errors: 0,
-            });
-        }
+    /// Panics if socket configuration (read timeout, blocking mode)
+    /// fails.
+    pub fn run<C: WireClock>(mut self, clock: &C, stop: &AtomicBool) -> WireServerStats {
         let socket = &self.socket;
         let engine = &mut self.engine;
-        std::thread::scope(|scope| {
-            scope.spawn(move || reader_loop(socket, stop, &work_tx, &pool_rx));
-            let idle = SimDuration::from_millis(1);
-            while !stop.load(Ordering::Relaxed) {
-                let mut got = false;
-                while let Ok(mut batch) = work_rx.try_recv() {
-                    got = true;
-                    for (from, endpoint, seg) in batch.frames.drain(..) {
-                        engine.ingest_decoded(from, endpoint, seg);
-                    }
-                    engine.note_decode_errors(batch.decode_errors);
-                    batch.decode_errors = 0;
-                    let _ = pool_tx.send(batch);
-                    if engine.batch_len() >= RX_BATCH {
+        // The socket API rejects a zero time-out.
+        let idle = std::time::Duration::from_nanos(engine.poll_interval.as_nanos().max(1));
+        socket
+            .set_read_timeout(Some(idle))
+            .expect("set_read_timeout");
+        let mut buf = [0u8; MAX_FRAME_LEN + 64];
+        while !stop.load(Ordering::Relaxed) {
+            // A time-out (or a transient socket error) falls through to
+            // the flush, which runs the retransmit poll when due.
+            if let Ok((n, from)) = socket.recv_from(&mut buf) {
+                engine.ingest_datagram(from, &buf[..n]);
+                socket.set_nonblocking(true).expect("set_nonblocking");
+                for _ in 1..RX_BATCH {
+                    // `WouldBlock`: the kernel holds nothing more.
+                    let Ok((n, from)) = socket.recv_from(&mut buf) else {
                         break;
-                    }
+                    };
+                    engine.ingest_datagram(from, &buf[..n]);
                 }
-                engine.flush(clock.now(), &mut |peer, bytes| {
-                    let _ = socket.send_to(bytes, peer);
-                });
-                if !got {
-                    clock.sleep(idle);
-                }
+                socket.set_nonblocking(false).expect("set_nonblocking");
             }
-            // The reader checks `stop` every read-timeout tick, so the
-            // scope joins within ~1 ms of the flag going true.
-        });
+            engine.flush(clock.now(), &mut |peer, bytes| {
+                let _ = socket.send_to(bytes, peer);
+            });
+        }
         self.engine.stats()
-    }
-}
-
-/// The reader thread: receives datagrams, frame-decodes them off the
-/// stepping thread, and hands filled batches over. Arenas come back
-/// through `pool_rx`; if the pool is momentarily empty a fresh batch is
-/// allocated rather than stalling the socket.
-fn reader_loop(
-    socket: &UdpSocket,
-    stop: &AtomicBool,
-    work_tx: &mpsc::Sender<RxBatch>,
-    pool_rx: &mpsc::Receiver<RxBatch>,
-) {
-    socket
-        .set_read_timeout(Some(std::time::Duration::from_millis(1)))
-        .expect("set_read_timeout");
-    let mut buf = [0u8; MAX_FRAME_LEN + 64];
-    let mut batch = pool_rx.try_recv().unwrap_or_else(|_| RxBatch {
-        frames: Vec::with_capacity(RX_BATCH),
-        decode_errors: 0,
-    });
-    let hand_off = |batch: &mut RxBatch| {
-        if batch.frames.is_empty() && batch.decode_errors == 0 {
-            return;
-        }
-        let next = pool_rx.try_recv().unwrap_or_else(|_| RxBatch {
-            frames: Vec::with_capacity(RX_BATCH),
-            decode_errors: 0,
-        });
-        let full = std::mem::replace(batch, next);
-        let _ = work_tx.send(full);
-    };
-    while !stop.load(Ordering::Relaxed) {
-        match socket.recv_from(&mut buf) {
-            Ok((n, from)) => {
-                match decode_frame(&buf[..n]) {
-                    Ok((endpoint, seg)) => batch.frames.push((from, endpoint, seg)),
-                    Err(_) => batch.decode_errors += 1,
-                }
-                if batch.frames.len() >= RX_BATCH {
-                    hand_off(&mut batch);
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Recv window went idle: flush the partial batch so
-                // latency stays bounded at low rates.
-                hand_off(&mut batch);
-            }
-            Err(_) => {}
-        }
     }
 }

@@ -107,6 +107,17 @@ fn assert_legit_completion(defense: &str) {
         stats.listener.established_total() > 0,
         "[{defense}] server saw no established handshakes"
     );
+    // SYN → FIN includes the fleet's modelled solve (a few ms) and the
+    // generator's own timer granularity (a socket time-out rounds up to
+    // scheduler ticks), but no batch-fill wait on the server.
+    let p50 = report
+        .latency_quantile(0.5)
+        .expect("completions carry latency samples");
+    assert!(
+        p50 < 0.020,
+        "[{defense}] median SYN→FIN latency {:.1} ms at 300 clients/s",
+        p50 * 1e3
+    );
 }
 
 #[test]
