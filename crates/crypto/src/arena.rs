@@ -110,8 +110,7 @@ impl MessageArena {
         (0..self.len()).map(move |i| self.msg(i))
     }
 
-    /// Builds an arena by copying a slice of owned messages — the bridge
-    /// from the deprecated `&[Vec<u8>]` batch shape.
+    /// Builds an arena by copying a slice of owned messages.
     pub fn from_messages(messages: &[Vec<u8>]) -> Self {
         let mut arena =
             MessageArena::with_capacity(messages.len(), messages.iter().map(Vec::len).sum());

@@ -94,18 +94,6 @@ pub trait HashBackend: Clone + Send + Sync + std::fmt::Debug {
             out.push(crate::sha256::sha256_seeded(seed, msg));
         }
     }
-
-    /// Hashes a batch of owned messages, appending one digest per message
-    /// to `out` in order.
-    #[deprecated(
-        since = "0.1.0",
-        note = "forces callers to own-allocate one Vec per message; \
-                build a reusable `MessageArena` and call `sha256_arena`"
-    )]
-    fn sha256_batch(&self, messages: &[Vec<u8>], out: &mut Vec<Digest>) {
-        let arena = MessageArena::from_messages(messages);
-        self.sha256_arena(&arena, out);
-    }
 }
 
 /// The default backend: this crate's portable scalar SHA-256 and HMAC.
@@ -381,19 +369,6 @@ mod tests {
         let arena = MessageArena::from_messages(&messages);
         let mut out = Vec::new();
         b.sha256_arena(&arena, &mut out);
-        assert_eq!(out.len(), messages.len());
-        for (msg, digest) in messages.iter().zip(&out) {
-            assert_eq!(*digest, b.sha256(msg));
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_batch_still_matches_singles() {
-        let b = ScalarBackend;
-        let messages: Vec<Vec<u8>> = (0u8..9).map(|i| vec![i; i as usize * 7]).collect();
-        let mut out = Vec::new();
-        b.sha256_batch(&messages, &mut out);
         assert_eq!(out.len(), messages.len());
         for (msg, digest) in messages.iter().zip(&out) {
             assert_eq!(*digest, b.sha256(msg));

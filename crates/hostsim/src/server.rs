@@ -452,9 +452,9 @@ impl netsim::Node<TcpSegment> for ServerHost {
                     .plain_synack_rate
                     .push(secs, (s.synacks_sent - p.synacks_sent) as f64);
                 // Closed-loop difficulty control (§7 extension) runs
-                // inside the listener's policy tick
-                // (`AdaptivePuzzleDefense`); sample the difficulty it
-                // holds in force for the metrics series.
+                // inside the listener's policy tick (`PuzzleDefense`
+                // under an `AdaptiveDifficulty` controller); sample the
+                // difficulty it holds in force for the metrics series.
                 let ps = self.listener.policy_stats();
                 if ps.adaptive {
                     if let Some(d) = ps.difficulty {

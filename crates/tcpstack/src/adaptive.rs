@@ -120,6 +120,12 @@ impl AdaptiveDifficulty {
         self.current
     }
 
+    /// The hardest difficulty the controller can reach; it shares `k` with
+    /// every step below it.
+    pub(crate) fn ceiling(&self) -> Difficulty {
+        self.ceiling
+    }
+
     /// Feeds one period's observations; returns the difficulty to apply
     /// for the next period.
     pub fn observe(&mut self, obs: AdaptiveObservation) -> Difficulty {

@@ -52,17 +52,15 @@ pub mod shard;
 
 pub use client::{ClientConfig, ClientConn, ClientEvent, ClientState};
 pub use cookie::SynCookieCodec;
-#[allow(deprecated)]
-pub use listener::DefenseMode;
 pub use listener::{
     oracle_proof, oracle_proof_with, puzzle_clock, FlowKey, Listener, ListenerConfig, ListenerCore,
     ListenerEvent, ListenerStats, PuzzleConfig, SynCacheConfig, VerifyMode,
 };
 pub use options::{ChallengeOption, OptionDecodeError, SolutionOption, TcpOption};
 pub use policy::{
-    AckClass, AckDisposition, AdaptivePuzzleDefense, DefensePolicy, NearStatelessPuzzleDefense,
-    NoDefense, PendingSolution, PolicyBuilder, PolicyStats, PuzzleDefense, QueuePressure, Stacked,
-    SynCacheDefense, SynClass, SynCookieDefense, SynDisposition,
+    AckClass, AckDisposition, DefensePolicy, NoDefense, PendingSolution, PolicyBuilder,
+    PolicyStats, PuzzleDefense, QueuePressure, Stacked, SynCacheDefense, SynClass,
+    SynCookieDefense, SynDisposition,
 };
 pub use segment::{
     SegmentBuilder, SegmentDecodeError, TcpFlags, TcpSegment, MAX_OPTIONS_LEN, TCP_HEADER_LEN,

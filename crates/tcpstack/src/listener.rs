@@ -23,8 +23,7 @@
 //! The defences themselves live behind the composable
 //! [`DefensePolicy`](crate::policy::DefensePolicy) pipeline: the listener
 //! owns the queues, counters, and crypto identity ([`ListenerCore`]) and
-//! consults its installed policy at each phase. The legacy [`DefenseMode`]
-//! enum survives only as a deprecated mapping onto policy builders.
+//! consults its installed policy at each phase.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -132,44 +131,6 @@ impl Default for SynCacheConfig {
         SynCacheConfig {
             capacity: 4096,
             lifetime: SimDuration::from_secs(15),
-        }
-    }
-}
-
-/// The legacy closed defence-mode enum.
-///
-/// Defences are now composable [`DefensePolicy`] implementations built
-/// through [`PolicyBuilder`]; this enum survives only as a thin
-/// compatibility constructor — [`DefenseMode::into_builder`] maps each
-/// old variant to its policy.
-#[deprecated(
-    note = "build a composable policy via tcpstack::policy::PolicyBuilder \
-            (PolicyBuilder::none/syn_cache/syn_cookies/puzzles/stacked/adaptive_puzzles)"
-)]
-#[derive(Clone, Debug)]
-pub enum DefenseMode {
-    /// No protection: the listen queue overflows and SYNs are dropped.
-    None,
-    /// SYN cache: overflowing half-opens spill into a larger
-    /// reduced-state table (§2.1).
-    SynCache(SynCacheConfig),
-    /// SYN cookies engage when the listen queue is full.
-    SynCookies,
-    /// Client puzzles engage when the listen queue is full (precedence
-    /// over cookies).
-    Puzzles(PuzzleConfig),
-}
-
-#[allow(deprecated)]
-impl DefenseMode {
-    /// The deprecated compatibility constructor: maps each legacy
-    /// variant to its composable policy builder.
-    pub fn into_builder<B: HashBackend + 'static>(self) -> PolicyBuilder<B> {
-        match self {
-            DefenseMode::None => PolicyBuilder::none(),
-            DefenseMode::SynCache(cc) => PolicyBuilder::syn_cache(cc),
-            DefenseMode::SynCookies => PolicyBuilder::syn_cookies(),
-            DefenseMode::Puzzles(pc) => PolicyBuilder::puzzles(pc),
         }
     }
 }
@@ -811,6 +772,12 @@ impl<B: HashBackend> Listener<B> {
     /// The installed policy's diagnostic name.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
+    }
+
+    /// Whether the installed policy holds per-flow handshake state for
+    /// `flow` (diagnostics and tests).
+    pub fn policy_has_flow_state(&self, flow: &FlowKey) -> bool {
+        self.policy.has_flow_state(flow)
     }
 
     /// `(listen_queue_len, accept_queue_len)` — what Fig. 10 plots.

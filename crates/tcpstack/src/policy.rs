@@ -2,12 +2,9 @@
 //! [`Listener`](crate::Listener).
 //!
 //! The paper compares *defences* (SYN cache, SYN cookies, client puzzles
-//! at Nash difficulty) against state-exhaustion floods. Historically each
-//! defence was a variant of the closed `DefenseMode` enum, branched on at
-//! every decision point inside the listener. This module replaces that
-//! with a first-class API: [`DefensePolicy`] is a trait with one hook per
-//! protocol phase, and the listener consults its installed policy instead
-//! of matching on an enum.
+//! at Nash difficulty) against state-exhaustion floods. Each defence is
+//! a [`DefensePolicy`]: a trait with one hook per protocol phase, which
+//! the listener consults instead of branching on a closed set of modes.
 //!
 //! The phases, in the order a flow traverses them:
 //!
@@ -34,14 +31,14 @@
 //!    difficulty control.
 //!
 //! Built-in policies: [`NoDefense`], [`SynCacheDefense`],
-//! [`SynCookieDefense`], [`PuzzleDefense`],
-//! [`NearStatelessPuzzleDefense`] (rspow-style windowed issuance with
-//! zero per-flow state before a valid proof), plus two compositions the
-//! old enum could not express — [`Stacked`] (layered defences with
-//! explicit precedence, e.g. SYN-cache spillover *then* puzzles) and
-//! [`AdaptivePuzzleDefense`], which drives
-//! [`AdaptiveDifficulty`](crate::adaptive::AdaptiveDifficulty) from the
-//! listener's own tick path (the paper's §7 closed loop).
+//! [`SynCookieDefense`], [`PuzzleDefense`] — one puzzle state machine
+//! whose challenges bind either to a per-challenge clock reading or to an
+//! rspow-style per-window nonce, at a fixed difficulty or under the
+//! paper's §7 closed loop
+//! ([`AdaptiveDifficulty`](crate::adaptive::AdaptiveDifficulty), driven
+//! from the listener's own tick path) — and [`Stacked`], layered
+//! defences with explicit precedence (e.g. SYN-cache spillover *then*
+//! puzzles).
 //!
 //! Configurations store a [`PolicyBuilder`] — a clonable factory — since
 //! live policies are stateful and owned by exactly one listener.
@@ -54,17 +51,18 @@ use crate::adaptive::{AdaptiveDifficulty, AdaptiveObservation};
 use crate::cookie::SynCookieCodec;
 use crate::listener::{
     build_synack, cookie_counter, oracle_proof_for_with, puzzle_clock, EstablishedVia, FlowKey,
-    ListenerCore, ListenerEvent, ListenerOutput, PuzzleConfig, SynCacheConfig, VerifyMode,
+    ListenerConfig, ListenerCore, ListenerEvent, ListenerOutput, PuzzleConfig, SynCacheConfig,
+    VerifyMode,
 };
 use crate::options::{ChallengeOption, SolutionOption, TcpOption};
 use crate::segment::{SegmentBuilder, TcpFlags, TcpSegment};
 use netsim::{SimDuration, SimTime};
 use puzzle_core::{
-    compute_windowed_preimage, validate_preimage_bits, AlgoId, BatchScratch, ChallengeParams,
-    ConnectionTuple, Difficulty, IssueScratch, ReplayCache, ServerSecret, Solution, Verifier,
-    VerifyError, VerifyRequest,
+    compute_preimage, compute_windowed_preimage, validate_preimage_bits, AlgoId, BatchScratch,
+    ChallengeParams, ConnectionTuple, Difficulty, IssueScratch, ReplayCache, ServerSecret,
+    Solution, Verifier, VerifyError, VerifyRequest,
 };
-use puzzle_crypto::{Digest, HashBackend, MessageArena, WindowPrf};
+use puzzle_crypto::{Digest, HashBackend, MessageArena};
 
 /// Queue fullness observed when a fresh SYN arrives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,8 +176,7 @@ pub struct PolicyStats {
 /// docs for the phase order and the built-in implementations.
 ///
 /// All hooks receive the [`ListenerCore`] — the listener's queues,
-/// counters, configuration, and crypto identity — so policies mutate the
-/// same machinery the hard-coded enum arms used to.
+/// counters, configuration, and crypto identity.
 pub trait DefensePolicy<B: HashBackend>: fmt::Debug {
     /// Short diagnostic name.
     fn name(&self) -> &'static str;
@@ -389,46 +386,37 @@ impl<B: HashBackend + 'static> PolicyBuilder<B> {
     /// Client puzzles engage under queue pressure (precedence over
     /// cookies, §5).
     pub fn puzzles(cfg: PuzzleConfig) -> Self {
-        let label = match cfg.algo {
-            AlgoId::Prefix => "puzzles",
-            AlgoId::Collide => "puzzles-collide",
-        };
-        PolicyBuilder::new(label, move |secret, backend| {
-            Box::new(PuzzleDefense::new(cfg.clone(), secret, backend))
-        })
+        Self::puzzle_defense(cfg, None, None)
     }
 
     /// Near-stateless client puzzles (the rspow design): challenges are
     /// bound to a PRF-derived time-windowed server nonce instead of a
     /// per-challenge clock reading, accepted strictly in the issuing or
-    /// the following window, and the policy holds **zero per-flow state
-    /// until a solution verifies** (replay admissions are the only
-    /// post-proof state). `window_len` is the window length in puzzle
-    /// clock units (seconds).
+    /// the following window, and replay admissions — the only state the
+    /// policy retains — are purged at every window rollover. `window_len`
+    /// is the window length in puzzle clock units (seconds).
     pub fn stateless_puzzles(cfg: PuzzleConfig, window_len: u32) -> Self {
-        let label = match cfg.algo {
-            AlgoId::Prefix => "stateless-puzzles",
-            AlgoId::Collide => "stateless-collide",
-        };
-        PolicyBuilder::new(label, move |secret, backend| {
-            Box::new(NearStatelessPuzzleDefense::new(
-                cfg.clone(),
-                window_len,
-                secret,
-                backend,
-            ))
-        })
+        Self::puzzle_defense(cfg, Some(window_len), None)
     }
 
     /// Client puzzles with closed-loop difficulty control (§7): the
     /// controller observes the listener once per second of simulated
     /// time and retunes the difficulty in force.
     pub fn adaptive_puzzles(cfg: PuzzleConfig, controller: AdaptiveDifficulty) -> Self {
-        PolicyBuilder::new("adaptive", move |secret, backend| {
-            Box::new(AdaptivePuzzleDefense::new(
+        Self::puzzle_defense(cfg, None, Some(controller))
+    }
+
+    fn puzzle_defense(
+        cfg: PuzzleConfig,
+        window_len: Option<u32>,
+        controller: Option<AdaptiveDifficulty>,
+    ) -> Self {
+        let label = puzzle_label(controller.is_some(), window_len.is_some(), cfg.algo);
+        PolicyBuilder::new(label, move |secret, backend| {
+            Box::new(PuzzleDefense::new(
                 cfg.clone(),
+                window_len,
                 controller.clone(),
-                SimDuration::from_secs(1),
                 secret,
                 backend,
             ))
@@ -850,10 +838,67 @@ impl<B: HashBackend> DefensePolicy<B> for SynCacheDefense {
     }
 }
 
+/// How often the closed difficulty loop observes the listener.
+const CONTROL_PERIOD: SimDuration = SimDuration::from_secs(1);
+
+/// The registry name of each puzzle configuration — what
+/// [`PolicyBuilder::label`] and [`DefensePolicy::name`] both report.
+fn puzzle_label(adaptive: bool, windowed: bool, algo: AlgoId) -> &'static str {
+    match (adaptive, windowed, algo) {
+        (true, ..) => "adaptive",
+        (false, false, AlgoId::Prefix) => "puzzles",
+        (false, false, AlgoId::Collide) => "puzzles-collide",
+        (false, true, AlgoId::Prefix) => "stateless-puzzles",
+        (false, true, AlgoId::Collide) => "stateless-collide",
+    }
+}
+
+/// A fresh SYN the puzzle policy answers statelessly:
+/// `(flow, client ISN, client TS echo)`.
+type ChallengedSyn = (FlowKey, u32, Option<u32>);
+
 /// Client puzzles (§5): a stateless challenge under queue pressure —
 /// even when the accept queue overflows — latched for the configured
 /// hysteresis hold; solution ACKs verified through the batch engine
 /// with replay defence.
+///
+/// One state machine, parameterised at construction on two axes:
+///
+/// * **Nonce source** — what a challenge's pre-image binds to and what
+///   its wire `timestamp` field carries. *Clock*: `h(secret ‖ T ‖ tuple)`
+///   and the issue second `T`, aged against [`PuzzleConfig::expiry`].
+///   *Window* (the rspow near-stateless design grafted onto the §5
+///   flow): `h(N_w ‖ tuple)` for a per-window nonce
+///   `N_w = HMAC(secret, label ‖ w)` (through the cached
+///   [`puzzle_crypto::HmacKeySchedule`] midstates) and the window index
+///   `w`, accepted only while `w` is the current or the previous window
+///   — between `window_len` and `2·window_len` seconds of solving time.
+///   The [`Verifier`] owns this decision ([`Verifier::with_window`]);
+///   the policy reads it back through [`Verifier::window_prf`] and
+///   [`Verifier::freshness_frame`] and keeps no flag of its own. Clients
+///   echo the field verbatim (the SYN-ACK `tsval`, or the embedded
+///   challenge timestamp when TCP timestamps are off), so nothing
+///   client-side differs between the two.
+/// * **Difficulty source** — *fixed* ([`PuzzleConfig::difficulty`],
+///   retunable through [`DefensePolicy::set_difficulty`]) or the §7
+///   *closed loop*: an owned [`AdaptiveDifficulty`] controller observes
+///   the listener once per second of simulated time from
+///   [`tick`](DefensePolicy::tick) and retunes the difficulty in force.
+///
+/// On either nonce source the policy holds **zero per-flow state before
+/// a valid proof** — issuance keeps nothing keyed by flow (the pre-image
+/// is recomputable from the echoed packet fields alone) and
+/// [`DefensePolicy::has_flow_state`] stays `false`; replay admissions
+/// are the only retained state. What the window source adds:
+///
+/// * **A bounded replay cache.** Admissions are keyed `(tuple, window)`,
+///   so one tuple establishes at most once per window, and the cache is
+///   purged at every rollover; the clock source's cache only sweeps
+///   opportunistically on insert.
+/// * **One compression per SYN, batched or not.** The windowed pre-image
+///   message `nonce ‖ tuple` is a single SHA-256 block, so a
+///   deferred-issuance flush is one arena sweep with no midstate
+///   seeding, and the per-window nonce HMAC amortizes to nothing.
 #[derive(Debug)]
 pub struct PuzzleDefense<B: HashBackend> {
     cfg: PuzzleConfig,
@@ -863,9 +908,10 @@ pub struct PuzzleDefense<B: HashBackend> {
     /// Reusable batch-verification buffers: after warm-up, flushing a
     /// run of solution ACKs allocates nothing.
     scratch: BatchScratch,
-    /// SYNs deferred by `classify_syn` awaiting the next `issue_flush`:
-    /// `(flow, client ISN, client TS echo)`.
-    pending: Vec<(FlowKey, u32, Option<u32>)>,
+    /// SYNs deferred by `classify_syn` awaiting the next `issue_flush`.
+    /// Drained within every segment batch — never per-flow state that
+    /// outlives a batch.
+    pending: Vec<ChallengedSyn>,
     /// Reusable batched-issuance buffers (connection tuples, pre-image
     /// scratch, flow and ISN staging): after warm-up a flush's crypto
     /// path allocates nothing.
@@ -873,25 +919,70 @@ pub struct PuzzleDefense<B: HashBackend> {
     tuples: Vec<ConnectionTuple>,
     flows: Vec<FlowKey>,
     isns: Vec<u32>,
+    /// Window source only: the window whose nonce derivation has been
+    /// charged to `issue_hashes` (the accounting analogue of the
+    /// verifier's nonce memo), advanced identically by the sequential
+    /// and batched issue paths.
+    charged_window: Option<u32>,
+    /// Window source only: the window at whose rollover the replay
+    /// cache was last purged.
+    purged_window: u32,
+    /// The closed difficulty loop; `None` under fixed difficulty.
+    control: Option<ControlLoop>,
+}
+
+/// The §7 closed loop: the controller plus what the listener did since
+/// its last observation.
+#[derive(Debug)]
+struct ControlLoop {
+    controller: AdaptiveDifficulty,
+    next_obs: SimTime,
+    /// Puzzle-path admissions since the last observation.
+    puzzle_established: u64,
+    /// Pressure-signal counters at the last observation:
+    /// (challenges_sent, syns_dropped, accept_overflow_drops).
+    prev: (u64, u64, u64),
 }
 
 impl<B: HashBackend> PuzzleDefense<B> {
-    /// Builds the defence: the verifier gets a sharded [`ReplayCache`],
-    /// so a solution is admitted at most once per `(tuple, timestamp)`
-    /// inside the expiry window.
+    /// Builds the defence. `window_len` selects the nonce source: `None`
+    /// binds each challenge to its issue second, `Some(len)` to the
+    /// PRF-derived nonce of its `len`-second window. `controller`
+    /// selects the difficulty source: `None` keeps `cfg.difficulty`,
+    /// `Some` starts at the controller's current difficulty (its floor,
+    /// unless pre-stepped) and lets it retune from the tick path. The
+    /// verifier gets a sharded [`ReplayCache`], so a solution is
+    /// admitted at most once per `(tuple, timestamp)` — `(tuple,
+    /// window)` on the window source — inside the acceptance window.
     ///
     /// # Panics
     ///
-    /// Panics when `cfg.preimage_bits` and `cfg.difficulty` are
-    /// incompatible ([`validate_preimage_bits`]) — the check is hoisted
-    /// here so the per-SYN issue paths never re-validate.
-    pub fn new(cfg: PuzzleConfig, secret: &ServerSecret, backend: &B) -> Self {
-        validate_preimage_bits(cfg.preimage_bits, cfg.difficulty)
+    /// Panics when `cfg.preimage_bits` is incompatible
+    /// ([`validate_preimage_bits`]) with the highest difficulty the
+    /// policy can reach — `cfg.difficulty`, or the controller's ceiling,
+    /// which shares `k` with every step below it — so the per-SYN issue
+    /// paths never re-validate; and when `window_len` is `Some(0)`.
+    pub fn new(
+        mut cfg: PuzzleConfig,
+        window_len: Option<u32>,
+        controller: Option<AdaptiveDifficulty>,
+        secret: &ServerSecret,
+        backend: &B,
+    ) -> Self {
+        let mut hardest = cfg.difficulty;
+        if let Some(c) = &controller {
+            cfg.difficulty = c.current();
+            hardest = c.ceiling();
+        }
+        validate_preimage_bits(cfg.preimage_bits, hardest)
             .expect("invalid PuzzleConfig: preimage_bits incompatible with difficulty");
-        let verifier = Verifier::with_backend(secret.clone(), backend.clone())
+        let mut verifier = Verifier::with_backend(secret.clone(), backend.clone())
             .with_expiry(cfg.expiry)
             .with_algo(cfg.algo)
             .with_replay_cache(Arc::new(ReplayCache::default()));
+        if let Some(len) = window_len {
+            verifier = verifier.with_window(len);
+        }
         PuzzleDefense {
             cfg,
             verifier,
@@ -902,6 +993,14 @@ impl<B: HashBackend> PuzzleDefense<B> {
             tuples: Vec::new(),
             flows: Vec::new(),
             isns: Vec::new(),
+            charged_window: None,
+            purged_window: 0,
+            control: controller.map(|controller| ControlLoop {
+                controller,
+                next_obs: SimTime::ZERO + CONTROL_PERIOD,
+                puzzle_established: 0,
+                prev: (0, 0, 0),
+            }),
         }
     }
 
@@ -910,47 +1009,123 @@ impl<B: HashBackend> PuzzleDefense<B> {
         self.cfg.difficulty
     }
 
-    pub(crate) fn set_difficulty_inner(&mut self, difficulty: Difficulty) {
-        self.cfg.difficulty = difficulty;
+    fn windowed(&self) -> bool {
+        self.verifier.window_prf().is_some()
     }
 
-    /// Decodes a solution option into a [`VerifyRequest`] for the batch
-    /// engine. Returns the request plus the client's re-sent MSS.
-    fn parse_solution(
+    /// The controller head `on_syn` and `classify_syn` share. Puzzles
+    /// engage when *either* queue is under pressure — §5 explicitly
+    /// modifies the listening socket "to send a challenge when the
+    /// protection is in effect, even if the accept queue overflows" —
+    /// and stay engaged for the hysteresis hold after the last observed
+    /// overflow (see [`PuzzleConfig::hold`]). Returns whether this SYN
+    /// is challenged.
+    fn engaged(&mut self, now: SimTime, pressure: QueuePressure) -> bool {
+        if pressure.any() {
+            self.hold_until = now + self.cfg.hold;
+        }
+        pressure.any() || now < self.hold_until
+    }
+
+    /// What a challenge issued at `now_ts` carries in its timestamp
+    /// field: the clock reading itself, or the window index. On the
+    /// window source this also charges the per-window nonce HMAC (two
+    /// passes over the cached midstates) exactly once per window,
+    /// whichever issue path first touches the window — so the
+    /// sequential and batched paths evolve `issue_hashes` identically.
+    fn issue_stamp(&mut self, core: &mut ListenerCore<B>, now_ts: u32) -> u32 {
+        let Some(prf) = self.verifier.window_prf() else {
+            return now_ts;
+        };
+        let window = prf.window_of(now_ts);
+        if self.charged_window != Some(window) {
+            self.charged_window = Some(window);
+            core.stats_mut().issue_hashes += 2;
+        }
+        window
+    }
+
+    /// The challenge SYN-ACK both issue paths emit. `stamp` travels as
+    /// `tsval` when the TS option is in play (clients echo it as
+    /// `tsecr`), embedded in the challenge block otherwise.
+    fn challenge_reply(
         &self,
-        core: &ListenerCore<B>,
+        cfg: &ListenerConfig,
+        (flow, client_isn, client_ts): ChallengedSyn,
+        server_isn: u32,
+        stamp: u32,
+        preimage: &[u8],
+    ) -> TcpSegment {
+        let echo = client_ts.filter(|_| cfg.use_timestamps);
+        let copt = ChallengeOption {
+            k: self.cfg.difficulty.k(),
+            m: self.cfg.difficulty.m(),
+            preimage: preimage.to_vec(),
+            timestamp: echo.is_none().then_some(stamp),
+            algo: self.cfg.algo,
+        };
+        let mut b = SegmentBuilder::new(cfg.port, flow.port)
+            .seq(server_isn)
+            .ack_num(client_isn.wrapping_add(1))
+            .flags(TcpFlags::SYN | TcpFlags::ACK)
+            .mss(cfg.mss);
+        if let Some(tsval) = echo {
+            b = b.timestamps(stamp, tsval);
+        }
+        b.option(TcpOption::Challenge(copt)).build()
+    }
+
+    /// The front both solution paths share, with `pending` unverified
+    /// solutions already collected ahead of this one: "first checks if
+    /// the queue is full and only performs the verification procedure
+    /// when there is room" (§5), then decodes the option into a
+    /// [`VerifyRequest`] for the batch engine — the echoed timestamp is
+    /// whatever `issue_stamp` put on the wire — plus the client's
+    /// re-sent MSS. `None` means the ACK was dealt with here (ignored or
+    /// rejected).
+    fn gate_and_parse(
+        &self,
+        core: &mut ListenerCore<B>,
         flow: FlowKey,
         seg: &TcpSegment,
         sol: &SolutionOption,
-    ) -> Result<(VerifyRequest, u16), VerifyError> {
+        pending: usize,
+        out: &mut ListenerOutput,
+    ) -> Option<(VerifyRequest, u16)> {
+        if core.accept_queue_len() + pending >= core.config().accept_backlog {
+            core.stats_mut().acks_ignored_queue_full += 1;
+            out.events.push(ListenerEvent::AckIgnoredQueueFull { flow });
+            return None;
+        }
         let k = self.cfg.difficulty.k();
         // Timestamp source: TS option echo, else embedded in the block.
         let ts_echo = seg.timestamps().map(|(_, tsecr)| tsecr);
-        let embedded = ts_echo.is_none();
-        let (proofs, embedded_ts) = sol
-            .split(k, self.cfg.preimage_bits, self.cfg.algo, embedded)
-            .map_err(|_| VerifyError::WrongSolutionCount {
+        let split = sol.split(k, self.cfg.preimage_bits, self.cfg.algo, ts_echo.is_none());
+        let Ok((proofs, embedded_ts)) = split else {
+            let reason = VerifyError::WrongSolutionCount {
                 expected: k,
                 got: 0,
-            })?;
-        let issued_at = ts_echo.or(embedded_ts).unwrap_or(0);
-        let client_isn = seg.seq.wrapping_sub(1);
-        let tuple = core.tuple_for(flow, client_isn);
+            };
+            core.note_rejection(flow, reason, out);
+            return None;
+        };
+        let tuple = core.tuple_for(flow, seg.seq.wrapping_sub(1));
         let params = ChallengeParams {
             difficulty: self.cfg.difficulty,
             preimage_bits: self.cfg.preimage_bits as u8,
-            timestamp: issued_at,
+            timestamp: ts_echo.or(embedded_ts).unwrap_or(0),
         };
-        Ok(((tuple, params, Solution::new(proofs)), sol.mss))
+        Some(((tuple, params, Solution::new(proofs)), sol.mss))
     }
 
     /// The verification chokepoint both solution paths share, appending
     /// one verdict per request: real mode goes through the backend's
-    /// batch engine (replay cache included) — via the reusable
-    /// zero-allocation scratch on the calling thread, or fanned across
-    /// scoped worker threads when [`PuzzleConfig::verify_workers`] > 1;
-    /// oracle mode recomputes keyed proofs and charges the real-path
-    /// hash-count equivalent, consulting the same replay cache.
+    /// batch engine (freshness frame and replay keying come from the
+    /// verifier itself) — via the reusable zero-allocation scratch on
+    /// the calling thread, or fanned across scoped worker threads when
+    /// [`PuzzleConfig::verify_workers`] > 1; oracle mode recomputes
+    /// keyed proofs and charges the real-path hash-count equivalent,
+    /// consulting the same replay cache in the same frame.
     fn verify_requests(
         &mut self,
         core: &mut ListenerCore<B>,
@@ -973,30 +1148,22 @@ impl<B: HashBackend> PuzzleDefense<B> {
                 verdicts.extend_from_slice(self.scratch.verdicts());
             }
             VerifyMode::Oracle => {
-                let cache = self.verifier.replay_cache().cloned();
-                let max_age = self.verifier.max_age();
+                let cache = self.verifier.replay_cache();
+                let (frame_now, frame_age) = self.verifier.freshness_frame(now_ts);
                 verdicts.reserve(requests.len());
-                for (tuple, params, solution) in requests {
-                    if let Some(c) = &cache {
-                        if c.contains(tuple, params.timestamp, now_ts, max_age) {
+                for request @ (tuple, params, _) in requests {
+                    if let Some(c) = cache {
+                        if c.contains(tuple, params.timestamp, frame_now, frame_age) {
                             verdicts.push(Err(VerifyError::Replayed));
                             continue;
                         }
                     }
-                    let (res, hashes) = oracle_verify(
-                        core.backend(),
-                        core.secret(),
-                        self.cfg.algo,
-                        max_age,
-                        tuple,
-                        params,
-                        solution,
-                        now_ts,
-                    );
+                    let (res, hashes) =
+                        self.oracle_verify(core.secret(), frame_now, frame_age, request);
                     core.stats_mut().verify_hashes += hashes;
-                    let res = match (&res, &cache) {
+                    let res = match (&res, cache) {
                         (Ok(()), Some(c))
-                            if !c.insert(tuple, params.timestamp, now_ts, max_age) =>
+                            if !c.insert(tuple, params.timestamp, frame_now, frame_age) =>
                         {
                             Err(VerifyError::Replayed)
                         }
@@ -1007,14 +1174,84 @@ impl<B: HashBackend> PuzzleDefense<B> {
             }
         }
     }
+
+    /// Oracle-mode verification: identical structural and freshness
+    /// checks to [`Verifier::verify`], in the verifier's freshness frame
+    /// (so `Expired` / `FutureTimestamp` are in window units on the
+    /// window source), with the hash-prefix check replaced by the keyed
+    /// oracle comparison. Returns the verdict plus the hash count the
+    /// *real* path would have charged (1 pre-image + the algorithm's
+    /// cost per checked proof; the per-window nonce HMAC is charged once
+    /// per window at issuance, mirroring the real path's amortized
+    /// memo), so CPU accounting stays faithful to the paper whichever
+    /// mode runs.
+    fn oracle_verify(
+        &self,
+        secret: &ServerSecret,
+        frame_now: u32,
+        frame_age: u32,
+        (tuple, params, solution): &VerifyRequest,
+    ) -> (Result<(), VerifyError>, u64) {
+        if params.timestamp > frame_now {
+            return (
+                Err(VerifyError::FutureTimestamp {
+                    issued_at: params.timestamp,
+                    now: frame_now,
+                }),
+                0,
+            );
+        }
+        if frame_now - params.timestamp > frame_age {
+            return (
+                Err(VerifyError::Expired {
+                    issued_at: params.timestamp,
+                    now: frame_now,
+                    max_age: frame_age,
+                }),
+                0,
+            );
+        }
+        let k = params.difficulty.k();
+        if solution.len() != k as usize {
+            return (
+                Err(VerifyError::WrongSolutionCount {
+                    expected: k,
+                    got: solution.len(),
+                }),
+                0,
+            );
+        }
+        if let Err(e) = validate_preimage_bits(params.preimage_bits as u16, params.difficulty) {
+            return (Err(VerifyError::BadParams(e)), 0);
+        }
+        // Recompute the pre-image exactly as the real path does (1
+        // hash) — the one step that depends on the nonce source.
+        let backend = self.verifier.backend();
+        let len = params.preimage_bits as usize / 8;
+        let preimage = match self.verifier.window_prf() {
+            Some(prf) => {
+                compute_windowed_preimage(backend, &prf.nonce(params.timestamp), tuple, len)
+            }
+            None => compute_preimage(backend, secret, tuple, params.timestamp, len),
+        };
+        let algo = self.cfg.algo;
+        let mut hashes = 1u64;
+        for (i, proof) in solution.proofs().iter().enumerate() {
+            if proof.len() != algo.proof_len(len) {
+                return (Err(VerifyError::BadSolutionLength { index: i }), hashes);
+            }
+            hashes += algo.verify_hashes_per_proof();
+            if proof != &oracle_proof_for_with(backend, algo, secret, &preimage, i as u8 + 1, len) {
+                return (Err(VerifyError::Invalid { index: i }), hashes);
+            }
+        }
+        (Ok(()), hashes)
+    }
 }
 
 impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
     fn name(&self) -> &'static str {
-        match self.cfg.algo {
-            AlgoId::Prefix => "puzzles",
-            AlgoId::Collide => "puzzles-collide",
-        }
+        puzzle_label(self.control.is_some(), self.windowed(), self.cfg.algo)
     }
 
     fn on_syn(
@@ -1026,46 +1263,26 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         pressure: QueuePressure,
         out: &mut ListenerOutput,
     ) -> SynDisposition {
-        // Puzzles engage when *either* queue is under pressure — §5
-        // explicitly modifies the listening socket "to send a challenge
-        // when the protection is in effect, even if the accept queue
-        // overflows" — and stay engaged for the hysteresis hold after
-        // the last observed overflow (see [`PuzzleConfig::hold`]).
-        if pressure.any() {
-            self.hold_until = now + self.cfg.hold;
-        }
-        if !pressure.any() && now >= self.hold_until {
+        if !self.engaged(now, pressure) {
             return SynDisposition::Admit;
         }
-        let now_ts = puzzle_clock(now);
-        let client_ts = seg.timestamps().map(|(tsval, _)| tsval);
         // Stateless challenge, even if the accept queue is also
         // overflowing (§5).
+        let now_ts = puzzle_clock(now);
+        let stamp = self.issue_stamp(core, now_ts);
         let tuple = core.tuple_for(flow, seg.seq);
-        let challenge = self
-            .verifier
-            .issue(&tuple, now_ts, self.cfg.difficulty, self.cfg.preimage_bits)
-            .expect("validated at config time");
-        let use_ts = core.config().use_timestamps;
-        let embed_ts = !(use_ts && client_ts.is_some());
-        let copt = ChallengeOption {
-            k: self.cfg.difficulty.k(),
-            m: self.cfg.difficulty.m(),
-            preimage: challenge.preimage().to_vec(),
-            timestamp: embed_ts.then_some(now_ts),
-            algo: self.cfg.algo,
-        };
-        let server_isn = core.next_server_isn(flow);
-        let cfg = core.config();
-        let mut b = SegmentBuilder::new(cfg.port, flow.port)
-            .seq(server_isn)
-            .ack_num(seg.seq.wrapping_add(1))
-            .flags(TcpFlags::SYN | TcpFlags::ACK)
-            .mss(cfg.mss);
-        if let (true, Some(tsval)) = (use_ts, client_ts) {
-            b = b.timestamps(now_ts, tsval);
+        let (difficulty, bits) = (self.cfg.difficulty, self.cfg.preimage_bits);
+        let challenge = if self.windowed() {
+            self.verifier
+                .issue_windowed(&tuple, now_ts, difficulty, bits)
+        } else {
+            self.verifier.issue(&tuple, now_ts, difficulty, bits)
         }
-        let reply = b.option(TcpOption::Challenge(copt)).build();
+        .expect("validated at config time");
+        let server_isn = core.next_server_isn(flow);
+        let syn = (flow, seg.seq, seg.timestamps().map(|(tsval, _)| tsval));
+        let reply =
+            self.challenge_reply(core.config(), syn, server_isn, stamp, challenge.preimage());
         let stats = core.stats_mut();
         stats.challenges_sent += 1;
         stats.issue_hashes += 1; // the pre-image; the ISN mint charges itself
@@ -1081,12 +1298,9 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         seg: &TcpSegment,
         pressure: QueuePressure,
     ) -> SynClass {
-        // Mirror of `on_syn`'s controller head: the hysteresis latch
-        // must advance even for deferred SYNs.
-        if pressure.any() {
-            self.hold_until = now + self.cfg.hold;
-        }
-        if !pressure.any() && now >= self.hold_until {
+        // Same controller head as `on_syn`: the hysteresis latch must
+        // advance even for deferred SYNs.
+        if !self.engaged(now, pressure) {
             // Pure admit (protection not in effect).
             return SynClass::Pass;
         }
@@ -1100,6 +1314,7 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
             return;
         }
         let now_ts = puzzle_clock(now);
+        let stamp = self.issue_stamp(core, now_ts);
         self.tuples.clear();
         self.flows.clear();
         for &(flow, client_isn, _) in &self.pending {
@@ -1109,41 +1324,25 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         // One batched sweep for every pre-image, then one for the
         // server ISNs (arrival order, so the ISN counter sequence is
         // identical to sequential processing).
-        self.verifier
-            .issue_batch(
-                &self.tuples,
-                now_ts,
-                self.cfg.difficulty,
-                self.cfg.preimage_bits,
-                &mut self.issue_scratch,
-            )
-            .expect("validated at config time");
+        let (difficulty, bits) = (self.cfg.difficulty, self.cfg.preimage_bits);
+        let windowed = self.windowed();
+        let scratch = &mut self.issue_scratch;
+        if windowed {
+            self.verifier
+                .issue_batch_windowed(&self.tuples, now_ts, difficulty, bits, scratch)
+        } else {
+            self.verifier
+                .issue_batch(&self.tuples, now_ts, difficulty, bits, scratch)
+        }
+        .expect("validated at config time");
         core.next_server_isn_batch(&self.flows, &mut self.isns);
         let stats = core.stats_mut();
         stats.challenges_sent += self.pending.len() as u64;
         stats.issue_hashes += self.pending.len() as u64;
-        let cfg = core.config();
-        let (port, adv_mss, use_ts) = (cfg.port, cfg.mss, cfg.use_timestamps);
-        let (k, m) = (self.cfg.difficulty.k(), self.cfg.difficulty.m());
-        for (i, &(flow, client_isn, client_ts)) in self.pending.iter().enumerate() {
-            let embed_ts = !(use_ts && client_ts.is_some());
-            let copt = ChallengeOption {
-                k,
-                m,
-                preimage: self.issue_scratch.preimage(i).to_vec(),
-                timestamp: embed_ts.then_some(now_ts),
-                algo: self.cfg.algo,
-            };
-            let mut b = SegmentBuilder::new(port, flow.port)
-                .seq(self.isns[i])
-                .ack_num(client_isn.wrapping_add(1))
-                .flags(TcpFlags::SYN | TcpFlags::ACK)
-                .mss(adv_mss);
-            if let (true, Some(tsval)) = (use_ts, client_ts) {
-                b = b.timestamps(now_ts, tsval);
-            }
-            out.replies
-                .push((flow.addr, b.option(TcpOption::Challenge(copt)).build()));
+        for (i, &syn) in self.pending.iter().enumerate() {
+            let preimage = self.issue_scratch.preimage(i);
+            let reply = self.challenge_reply(core.config(), syn, self.isns[i], stamp, preimage);
+            out.replies.push((syn.0.addr, reply));
         }
         self.pending.clear();
     }
@@ -1159,15 +1358,8 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         let Some(sol) = seg.solution() else {
             return AckClass::Sequential;
         };
-        // "First checks if the queue is full and only performs the
-        // verification procedure when there is room" (§5).
-        if core.accept_queue_len() + pending >= core.config().accept_backlog {
-            core.stats_mut().acks_ignored_queue_full += 1;
-            out.events.push(ListenerEvent::AckIgnoredQueueFull { flow });
-            return AckClass::Handled;
-        }
-        match self.parse_solution(core, flow, seg, sol) {
-            Ok((request, mss)) => AckClass::Pending(PendingSolution {
+        match self.gate_and_parse(core, flow, seg, sol, pending, out) {
+            Some((request, mss)) => AckClass::Pending(PendingSolution {
                 flow,
                 ack: seg.ack,
                 mss,
@@ -1175,10 +1367,7 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
                 payload: seg.payload.clone(),
                 fin: seg.flags.contains(TcpFlags::FIN),
             }),
-            Err(reason) => {
-                core.note_rejection(flow, reason, out);
-                AckClass::Handled
-            }
+            None => AckClass::Handled,
         }
     }
 
@@ -1206,34 +1395,26 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
             // the batch pipeline before reaching this point; this branch
             // keeps the sequential path self-contained by running the
             // same gate + chokepoint for one request.
-            if core.accept_queue_full() {
-                core.stats_mut().acks_ignored_queue_full += 1;
-                out.events.push(ListenerEvent::AckIgnoredQueueFull { flow });
-                return AckDisposition::Consumed;
-            }
-            match self.parse_solution(core, flow, seg, sol) {
-                Ok((request, mss)) => {
-                    let mut verdicts = core.take_verdict_buf();
-                    self.verify_requests(core, puzzle_clock(now), &[request], &mut verdicts);
-                    let verdict = verdicts.pop().expect("one verdict per request");
-                    core.put_verdict_buf(verdicts);
-                    match verdict {
-                        Ok(()) => {
-                            let mss = mss.min(core.config().mss);
-                            core.finish_establish(
-                                flow,
-                                seg.ack,
-                                mss,
-                                EstablishedVia::Puzzle,
-                                &seg.payload,
-                                seg.flags.contains(TcpFlags::FIN),
-                                out,
-                            );
-                        }
-                        Err(reason) => core.note_rejection(flow, reason, out),
+            if let Some((request, mss)) = self.gate_and_parse(core, flow, seg, sol, 0, out) {
+                let mut verdicts = core.take_verdict_buf();
+                self.verify_requests(core, puzzle_clock(now), &[request], &mut verdicts);
+                let verdict = verdicts.pop().expect("one verdict per request");
+                core.put_verdict_buf(verdicts);
+                match verdict {
+                    Ok(()) => {
+                        let mss = mss.min(core.config().mss);
+                        core.finish_establish(
+                            flow,
+                            seg.ack,
+                            mss,
+                            EstablishedVia::Puzzle,
+                            &seg.payload,
+                            seg.flags.contains(TcpFlags::FIN),
+                            out,
+                        );
                     }
+                    Err(reason) => core.note_rejection(flow, reason, out),
                 }
-                Err(reason) => core.note_rejection(flow, reason, out),
             }
             return AckDisposition::Consumed;
         }
@@ -1249,699 +1430,31 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         }
     }
 
-    fn set_difficulty(&mut self, difficulty: Difficulty) -> bool {
-        // Same config-time validation as construction: refusing an
-        // incompatible retune keeps the hot-path "validated at config
-        // time" invariant honest.
-        if validate_preimage_bits(self.cfg.preimage_bits, difficulty).is_err() {
-            return false;
-        }
-        self.set_difficulty_inner(difficulty);
-        true
-    }
-
-    fn stats(&self) -> PolicyStats {
-        PolicyStats {
-            difficulty: Some(self.cfg.difficulty),
-            state_bytes: replay_state_bytes(&self.verifier),
-            ..PolicyStats::default()
-        }
-    }
-}
-
-/// Estimated bytes the verifier's replay cache currently retains: one
-/// whole-key `(tuple, timestamp)` admission per entry. The classic
-/// defence never purges this cache from its tick path (shards sweep
-/// opportunistically on insert only), so under sustained admissions it
-/// grows with the attack duration until a shard crosses its sweep
-/// threshold; the windowed defence purges every rollover, bounding it
-/// to the acceptance window.
-fn replay_state_bytes<B: HashBackend>(verifier: &Verifier<B>) -> usize {
-    verifier.replay_cache().map_or(0, |c| c.len()) * std::mem::size_of::<(u128, u32)>()
-}
-
-/// Near-stateless client puzzles — the rspow issuance design grafted
-/// onto the paper's §5 challenge flow.
-///
-/// Instead of binding each challenge to a per-challenge clock reading,
-/// the server derives one nonce per *time window* with a PRF over the
-/// window index (`HMAC(secret, label ‖ w)` through the cached
-/// [`puzzle_crypto::HmacKeySchedule`] midstates) and binds every
-/// challenge issued inside that window to `(nonce_w, tuple)`. The
-/// challenge's wire `timestamp` field carries the window index — the
-/// SYN-ACK `tsval` (or the embedded challenge timestamp when TCP
-/// timestamps are off), which clients already echo verbatim — so no
-/// client-side change exists between this policy and [`PuzzleDefense`].
-///
-/// Properties this buys over the classic defence:
-///
-/// * **Zero per-flow state before a valid proof.** Issuance keeps
-///   nothing keyed by flow: the pre-image is recomputable from the
-///   window nonce and the echoed packet fields alone, and
-///   [`DefensePolicy::has_flow_state`] stays `false` until a solution
-///   verifies. The only retained state is O(1) per window (the nonce
-///   memo) plus post-proof replay admissions.
-/// * **Strict acceptance window.** A solution verifies only while its
-///   issuing window is the *current or previous* one — between
-///   `window_len` and `2·window_len` seconds of solving time — and the
-///   replay cache is keyed `(tuple, window)`, so one tuple establishes
-///   at most once per window and the cache is purged at every rollover
-///   (the classic policy's cache only sweeps opportunistically on
-///   insert).
-/// * **One compression per SYN, batched or not.** The windowed
-///   pre-image message `nonce ‖ tuple` is a single SHA-256 block, so a
-///   deferred-issuance flush is one arena sweep with no midstate
-///   seeding, and the per-window nonce HMAC amortizes to nothing.
-#[derive(Debug)]
-pub struct NearStatelessPuzzleDefense<B: HashBackend> {
-    cfg: PuzzleConfig,
-    verifier: Verifier<B>,
-    /// Controller latch: challenge every SYN until this instant.
-    hold_until: SimTime,
-    /// Reusable batch-verification buffers.
-    scratch: BatchScratch,
-    /// SYNs deferred by `classify_syn` awaiting the next `issue_flush`:
-    /// `(flow, client ISN, client TS echo)`. Drained within every
-    /// segment batch — never per-flow state that outlives a batch.
-    pending: Vec<(FlowKey, u32, Option<u32>)>,
-    /// Reusable batched-issuance buffers.
-    issue_scratch: IssueScratch,
-    tuples: Vec<ConnectionTuple>,
-    flows: Vec<FlowKey>,
-    isns: Vec<u32>,
-    /// Window whose nonce derivation has been charged to `issue_hashes`
-    /// (the accounting analogue of the verifier's nonce memo), advanced
-    /// identically by the sequential and batched issue paths.
-    charged_window: Option<u32>,
-    /// Window at whose rollover the replay cache was last purged.
-    purged_window: u32,
-}
-
-impl<B: HashBackend> NearStatelessPuzzleDefense<B> {
-    /// Builds the defence in windowed mode: `window_len` puzzle-clock
-    /// seconds per window, with a sharded [`ReplayCache`] keyed
-    /// `(tuple, window)` for the post-proof replay defence.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.preimage_bits` and `cfg.difficulty` are
-    /// incompatible ([`validate_preimage_bits`]), or when `window_len`
-    /// is zero.
-    pub fn new(cfg: PuzzleConfig, window_len: u32, secret: &ServerSecret, backend: &B) -> Self {
-        validate_preimage_bits(cfg.preimage_bits, cfg.difficulty)
-            .expect("invalid PuzzleConfig: preimage_bits incompatible with difficulty");
-        let verifier = Verifier::with_backend(secret.clone(), backend.clone())
-            .with_window(window_len)
-            .with_algo(cfg.algo)
-            .with_replay_cache(Arc::new(ReplayCache::default()));
-        NearStatelessPuzzleDefense {
-            cfg,
-            verifier,
-            hold_until: SimTime::ZERO,
-            scratch: BatchScratch::new(),
-            pending: Vec::new(),
-            issue_scratch: IssueScratch::new(),
-            tuples: Vec::new(),
-            flows: Vec::new(),
-            isns: Vec::new(),
-            charged_window: None,
-            purged_window: 0,
-        }
-    }
-
-    /// Difficulty currently in force.
-    pub fn difficulty(&self) -> Difficulty {
-        self.cfg.difficulty
-    }
-
-    /// The acceptance-window length in puzzle-clock seconds.
-    pub fn window_len(&self) -> u32 {
-        self.window_prf().window_len()
-    }
-
-    fn window_prf(&self) -> &WindowPrf {
-        self.verifier
-            .window_prf()
-            .expect("constructed in windowed mode")
-    }
-
-    /// Charges the per-window nonce HMAC (two passes over the cached
-    /// midstates) exactly once per window, whichever issue path first
-    /// touches the window — so the sequential and batched paths evolve
-    /// `issue_hashes` identically.
-    fn charge_window(&mut self, core: &mut ListenerCore<B>, window: u32) {
-        if self.charged_window != Some(window) {
-            self.charged_window = Some(window);
-            core.stats_mut().issue_hashes += 2;
-        }
-    }
-
-    /// Decodes a solution option into a [`VerifyRequest`] for the batch
-    /// engine; the echoed timestamp is the *window index* the challenge
-    /// was issued under. Returns the request plus the client's re-sent
-    /// MSS.
-    fn parse_solution(
-        &self,
-        core: &ListenerCore<B>,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        sol: &SolutionOption,
-    ) -> Result<(VerifyRequest, u16), VerifyError> {
-        let k = self.cfg.difficulty.k();
-        let ts_echo = seg.timestamps().map(|(_, tsecr)| tsecr);
-        let embedded = ts_echo.is_none();
-        let (proofs, embedded_ts) = sol
-            .split(k, self.cfg.preimage_bits, self.cfg.algo, embedded)
-            .map_err(|_| VerifyError::WrongSolutionCount {
-                expected: k,
-                got: 0,
-            })?;
-        let issued_window = ts_echo.or(embedded_ts).unwrap_or(0);
-        let client_isn = seg.seq.wrapping_sub(1);
-        let tuple = core.tuple_for(flow, client_isn);
-        let params = ChallengeParams {
-            difficulty: self.cfg.difficulty,
-            preimage_bits: self.cfg.preimage_bits as u8,
-            timestamp: issued_window,
-        };
-        Ok(((tuple, params, Solution::new(proofs)), sol.mss))
-    }
-
-    /// The verification chokepoint both solution paths share. Real mode
-    /// runs the batch engine, whose windowed freshness frame and
-    /// `(tuple, window)` replay keying come from the verifier itself;
-    /// oracle mode recomputes keyed proofs against the windowed
-    /// pre-image and consults the replay cache in the same frame.
-    fn verify_requests(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now_ts: u32,
-        requests: &[VerifyRequest],
-        verdicts: &mut Vec<Result<(), VerifyError>>,
-    ) {
-        match self.cfg.verify {
-            VerifyMode::Real if self.cfg.verify_workers > 1 => {
-                let batch =
-                    self.verifier
-                        .verify_batch_parallel(requests, now_ts, self.cfg.verify_workers);
-                core.stats_mut().verify_hashes += batch.hashes;
-                verdicts.extend(batch.verdicts);
-            }
-            VerifyMode::Real => {
-                core.stats_mut().verify_hashes +=
-                    self.verifier
-                        .verify_batch_with(requests, now_ts, &mut self.scratch);
-                verdicts.extend_from_slice(self.scratch.verdicts());
-            }
-            VerifyMode::Oracle => {
-                let cache = self.verifier.replay_cache().cloned();
-                let (frame_now, frame_age) = self.verifier.freshness_frame(now_ts);
-                let prf = self.window_prf().clone();
-                verdicts.reserve(requests.len());
-                for (tuple, params, solution) in requests {
-                    if let Some(c) = &cache {
-                        if c.contains(tuple, params.timestamp, frame_now, frame_age) {
-                            verdicts.push(Err(VerifyError::Replayed));
-                            continue;
-                        }
-                    }
-                    let (res, hashes) = oracle_verify_windowed(
-                        core.backend(),
-                        core.secret(),
-                        self.cfg.algo,
-                        &prf,
-                        frame_now,
-                        frame_age,
-                        tuple,
-                        params,
-                        solution,
-                    );
-                    core.stats_mut().verify_hashes += hashes;
-                    let res = match (&res, &cache) {
-                        (Ok(()), Some(c))
-                            if !c.insert(tuple, params.timestamp, frame_now, frame_age) =>
-                        {
-                            Err(VerifyError::Replayed)
-                        }
-                        _ => res,
-                    };
-                    verdicts.push(res);
-                }
-            }
-        }
-    }
-}
-
-impl<B: HashBackend> DefensePolicy<B> for NearStatelessPuzzleDefense<B> {
-    fn name(&self) -> &'static str {
-        match self.cfg.algo {
-            AlgoId::Prefix => "stateless-puzzles",
-            AlgoId::Collide => "stateless-collide",
-        }
-    }
-
-    fn on_syn(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pressure: QueuePressure,
-        out: &mut ListenerOutput,
-    ) -> SynDisposition {
-        // Same controller head as `PuzzleDefense`: engage under any
-        // queue pressure, latched for the hysteresis hold.
-        if pressure.any() {
-            self.hold_until = now + self.cfg.hold;
-        }
-        if !pressure.any() && now >= self.hold_until {
-            return SynDisposition::Admit;
-        }
-        let now_ts = puzzle_clock(now);
-        let window = self.window_prf().window_of(now_ts);
-        self.charge_window(core, window);
-        let client_ts = seg.timestamps().map(|(tsval, _)| tsval);
-        let tuple = core.tuple_for(flow, seg.seq);
-        let challenge = self
-            .verifier
-            .issue_windowed(&tuple, now_ts, self.cfg.difficulty, self.cfg.preimage_bits)
-            .expect("validated at config time");
-        let use_ts = core.config().use_timestamps;
-        let embed_ts = !(use_ts && client_ts.is_some());
-        // The echoed timestamp is the *window index*: `tsval` when the
-        // TS option is in play (clients echo it as `tsecr`), embedded
-        // in the challenge block otherwise.
-        let copt = ChallengeOption {
-            k: self.cfg.difficulty.k(),
-            m: self.cfg.difficulty.m(),
-            preimage: challenge.preimage().to_vec(),
-            timestamp: embed_ts.then_some(window),
-            algo: self.cfg.algo,
-        };
-        let server_isn = core.next_server_isn(flow);
-        let cfg = core.config();
-        let mut b = SegmentBuilder::new(cfg.port, flow.port)
-            .seq(server_isn)
-            .ack_num(seg.seq.wrapping_add(1))
-            .flags(TcpFlags::SYN | TcpFlags::ACK)
-            .mss(cfg.mss);
-        if let (true, Some(tsval)) = (use_ts, client_ts) {
-            b = b.timestamps(window, tsval);
-        }
-        let reply = b.option(TcpOption::Challenge(copt)).build();
-        let stats = core.stats_mut();
-        stats.challenges_sent += 1;
-        stats.issue_hashes += 1; // the single-block windowed pre-image
-        out.replies.push((flow.addr, reply));
-        SynDisposition::Handled
-    }
-
-    fn classify_syn(
-        &mut self,
-        _core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        // Mirror of `on_syn`'s controller head: the hysteresis latch
-        // must advance even for deferred SYNs.
-        if pressure.any() {
-            self.hold_until = now + self.cfg.hold;
-        }
-        if !pressure.any() && now >= self.hold_until {
-            return SynClass::Pass;
-        }
-        self.pending
-            .push((flow, seg.seq, seg.timestamps().map(|(tsval, _)| tsval)));
-        SynClass::Deferred
-    }
-
-    fn issue_flush(&mut self, core: &mut ListenerCore<B>, now: SimTime, out: &mut ListenerOutput) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let now_ts = puzzle_clock(now);
-        let window = self.window_prf().window_of(now_ts);
-        self.charge_window(core, window);
-        self.tuples.clear();
-        self.flows.clear();
-        for &(flow, client_isn, _) in &self.pending {
-            self.tuples.push(core.tuple_for(flow, client_isn));
-            self.flows.push(flow);
-        }
-        // One arena sweep for every windowed pre-image (each a single
-        // compression), then one for the server ISNs in arrival order.
-        self.verifier
-            .issue_batch_windowed(
-                &self.tuples,
-                now_ts,
-                self.cfg.difficulty,
-                self.cfg.preimage_bits,
-                &mut self.issue_scratch,
-            )
-            .expect("validated at config time");
-        core.next_server_isn_batch(&self.flows, &mut self.isns);
-        let stats = core.stats_mut();
-        stats.challenges_sent += self.pending.len() as u64;
-        stats.issue_hashes += self.pending.len() as u64;
-        let cfg = core.config();
-        let (port, adv_mss, use_ts) = (cfg.port, cfg.mss, cfg.use_timestamps);
-        let (k, m) = (self.cfg.difficulty.k(), self.cfg.difficulty.m());
-        for (i, &(flow, client_isn, client_ts)) in self.pending.iter().enumerate() {
-            let embed_ts = !(use_ts && client_ts.is_some());
-            let copt = ChallengeOption {
-                k,
-                m,
-                preimage: self.issue_scratch.preimage(i).to_vec(),
-                timestamp: embed_ts.then_some(window),
-                algo: self.cfg.algo,
-            };
-            let mut b = SegmentBuilder::new(port, flow.port)
-                .seq(self.isns[i])
-                .ack_num(client_isn.wrapping_add(1))
-                .flags(TcpFlags::SYN | TcpFlags::ACK)
-                .mss(adv_mss);
-            if let (true, Some(tsval)) = (use_ts, client_ts) {
-                b = b.timestamps(window, tsval);
-            }
-            out.replies
-                .push((flow.addr, b.option(TcpOption::Challenge(copt)).build()));
-        }
-        self.pending.clear();
-    }
-
-    fn classify_ack(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pending: usize,
-        out: &mut ListenerOutput,
-    ) -> AckClass {
-        let Some(sol) = seg.solution() else {
-            return AckClass::Sequential;
-        };
-        if core.accept_queue_len() + pending >= core.config().accept_backlog {
-            core.stats_mut().acks_ignored_queue_full += 1;
-            out.events.push(ListenerEvent::AckIgnoredQueueFull { flow });
-            return AckClass::Handled;
-        }
-        match self.parse_solution(core, flow, seg, sol) {
-            Ok((request, mss)) => AckClass::Pending(PendingSolution {
-                flow,
-                ack: seg.ack,
-                mss,
-                request,
-                payload: seg.payload.clone(),
-                fin: seg.flags.contains(TcpFlags::FIN),
-            }),
-            Err(reason) => {
-                core.note_rejection(flow, reason, out);
-                AckClass::Handled
-            }
-        }
-    }
-
-    fn verify(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now_ts: u32,
-        requests: &[VerifyRequest],
-        verdicts: &mut Vec<Result<(), VerifyError>>,
-    ) -> bool {
-        self.verify_requests(core, now_ts, requests, verdicts);
-        true
-    }
-
-    fn on_ack(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        out: &mut ListenerOutput,
-    ) -> AckDisposition {
-        if let Some(sol) = seg.solution() {
-            if core.accept_queue_full() {
-                core.stats_mut().acks_ignored_queue_full += 1;
-                out.events.push(ListenerEvent::AckIgnoredQueueFull { flow });
-                return AckDisposition::Consumed;
-            }
-            match self.parse_solution(core, flow, seg, sol) {
-                Ok((request, mss)) => {
-                    let mut verdicts = core.take_verdict_buf();
-                    self.verify_requests(core, puzzle_clock(now), &[request], &mut verdicts);
-                    let verdict = verdicts.pop().expect("one verdict per request");
-                    core.put_verdict_buf(verdicts);
-                    match verdict {
-                        Ok(()) => {
-                            let mss = mss.min(core.config().mss);
-                            core.finish_establish(
-                                flow,
-                                seg.ack,
-                                mss,
-                                EstablishedVia::Puzzle,
-                                &seg.payload,
-                                seg.flags.contains(TcpFlags::FIN),
-                                out,
-                            );
-                        }
-                        Err(reason) => core.note_rejection(flow, reason, out),
-                    }
-                }
-                Err(reason) => core.note_rejection(flow, reason, out),
-            }
-            return AckDisposition::Consumed;
-        }
-        if seg.payload.is_empty() && !seg.flags.contains(TcpFlags::FIN) {
-            core.stats_mut().acks_without_solution += 1;
-            AckDisposition::Consumed
-        } else {
-            AckDisposition::Unclaimed
-        }
-    }
-
-    fn tick(&mut self, core: &mut ListenerCore<B>, now: SimTime) {
-        let _ = core;
-        // Purge replay admissions at every window rollover: entries are
-        // keyed by window index, so anything older than the previous
-        // window can never be accepted again and is dropped eagerly —
-        // this is what keeps retained state O(windows), not O(flows).
-        let window = self.window_prf().window_of(puzzle_clock(now));
-        if window != self.purged_window {
-            self.purged_window = window;
-            if let Some(cache) = self.verifier.replay_cache() {
-                cache.purge_expired(window, 1);
-            }
-        }
-    }
-
-    // `has_flow_state` deliberately stays the trait default (`false`
-    // for every flow): the policy's defining property is zero per-flow
-    // state before a valid proof.
-
-    fn set_difficulty(&mut self, difficulty: Difficulty) -> bool {
-        if validate_preimage_bits(self.cfg.preimage_bits, difficulty).is_err() {
-            return false;
-        }
-        self.cfg.difficulty = difficulty;
-        true
-    }
-
-    fn stats(&self) -> PolicyStats {
-        PolicyStats {
-            difficulty: Some(self.cfg.difficulty),
-            state_bytes: replay_state_bytes(&self.verifier),
-            ..PolicyStats::default()
-        }
-    }
-}
-
-/// Oracle-mode verification for the windowed defence: identical
-/// structural checks to [`oracle_verify`] but in the window frame — the
-/// echoed timestamp is a window index, freshness is `current or
-/// previous window`, and the pre-image recomputes from the window nonce
-/// and tuple. Charges the real path's hash-count equivalent (1
-/// single-block pre-image + 1 per checked proof; the per-window nonce
-/// HMAC is charged once per window at issuance, mirroring the real
-/// path's amortized memo).
-#[allow(clippy::too_many_arguments)]
-fn oracle_verify_windowed<B: HashBackend>(
-    backend: &B,
-    secret: &ServerSecret,
-    algo: AlgoId,
-    prf: &WindowPrf,
-    frame_now: u32,
-    frame_age: u32,
-    tuple: &ConnectionTuple,
-    params: &ChallengeParams,
-    solution: &Solution,
-) -> (Result<(), VerifyError>, u64) {
-    if params.timestamp > frame_now {
-        return (
-            Err(VerifyError::FutureTimestamp {
-                issued_at: params.timestamp,
-                now: frame_now,
-            }),
-            0,
-        );
-    }
-    if frame_now - params.timestamp > frame_age {
-        return (
-            Err(VerifyError::Expired {
-                issued_at: params.timestamp,
-                now: frame_now,
-                max_age: frame_age,
-            }),
-            0,
-        );
-    }
-    let k = params.difficulty.k();
-    if solution.len() != k as usize {
-        return (
-            Err(VerifyError::WrongSolutionCount {
-                expected: k,
-                got: solution.len(),
-            }),
-            0,
-        );
-    }
-    if let Err(e) = validate_preimage_bits(params.preimage_bits as u16, params.difficulty) {
-        return (Err(VerifyError::BadParams(e)), 0);
-    }
-    let len = params.preimage_bits as usize / 8;
-    let preimage = compute_windowed_preimage(backend, &prf.nonce(params.timestamp), tuple, len);
-    let mut hashes = 1u64;
-    for (i, proof) in solution.proofs().iter().enumerate() {
-        if proof.len() != algo.proof_len(len) {
-            return (Err(VerifyError::BadSolutionLength { index: i }), hashes);
-        }
-        hashes += algo.verify_hashes_per_proof();
-        if proof != &oracle_proof_for_with(backend, algo, secret, &preimage, i as u8 + 1, len) {
-            return (Err(VerifyError::Invalid { index: i }), hashes);
-        }
-    }
-    (Ok(()), hashes)
-}
-
-/// Client puzzles with the §7 closed control loop: an
-/// [`AdaptiveDifficulty`] controller observes the listener once per
-/// `period` of simulated time (driven by the listener's own
-/// [`tick`](DefensePolicy::tick) path) and retunes the difficulty in
-/// force.
-#[derive(Debug)]
-pub struct AdaptivePuzzleDefense<B: HashBackend> {
-    inner: PuzzleDefense<B>,
-    controller: AdaptiveDifficulty,
-    period: SimDuration,
-    next_obs: SimTime,
-    /// Puzzle-path admissions since the last observation.
-    puzzle_established: u64,
-    /// Pressure-signal counters at the last observation:
-    /// (challenges_sent, syns_dropped, accept_overflow_drops).
-    prev: (u64, u64, u64),
-}
-
-impl<B: HashBackend> AdaptivePuzzleDefense<B> {
-    /// Builds the defence starting at the controller's current
-    /// difficulty (its floor, unless pre-stepped).
-    pub fn new(
-        mut cfg: PuzzleConfig,
-        controller: AdaptiveDifficulty,
-        period: SimDuration,
-        secret: &ServerSecret,
-        backend: &B,
-    ) -> Self {
-        cfg.difficulty = controller.current();
-        AdaptivePuzzleDefense {
-            inner: PuzzleDefense::new(cfg, secret, backend),
-            controller,
-            period,
-            next_obs: SimTime::ZERO + period,
-            puzzle_established: 0,
-            prev: (0, 0, 0),
-        }
-    }
-
-    /// The controller's difficulty currently in force.
-    pub fn difficulty(&self) -> Difficulty {
-        self.inner.difficulty()
-    }
-}
-
-impl<B: HashBackend> DefensePolicy<B> for AdaptivePuzzleDefense<B> {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn on_syn(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pressure: QueuePressure,
-        out: &mut ListenerOutput,
-    ) -> SynDisposition {
-        self.inner.on_syn(core, now, flow, seg, pressure, out)
-    }
-
-    fn classify_syn(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        self.inner.classify_syn(core, now, flow, seg, pressure)
-    }
-
-    fn issue_flush(&mut self, core: &mut ListenerCore<B>, now: SimTime, out: &mut ListenerOutput) {
-        self.inner.issue_flush(core, now, out);
-    }
-
-    fn classify_ack(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pending: usize,
-        out: &mut ListenerOutput,
-    ) -> AckClass {
-        self.inner.classify_ack(core, flow, seg, pending, out)
-    }
-
-    fn verify(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now_ts: u32,
-        requests: &[VerifyRequest],
-        verdicts: &mut Vec<Result<(), VerifyError>>,
-    ) -> bool {
-        DefensePolicy::verify(&mut self.inner, core, now_ts, requests, verdicts)
-    }
-
-    fn on_ack(
-        &mut self,
-        core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        out: &mut ListenerOutput,
-    ) -> AckDisposition {
-        self.inner.on_ack(core, now, flow, seg, out)
-    }
-
     fn on_established(&mut self, _core: &mut ListenerCore<B>, _flow: FlowKey, via: EstablishedVia) {
-        if via == EstablishedVia::Puzzle {
-            self.puzzle_established += 1;
+        if let (Some(ctl), EstablishedVia::Puzzle) = (&mut self.control, via) {
+            ctl.puzzle_established += 1;
         }
     }
 
     fn tick(&mut self, core: &mut ListenerCore<B>, now: SimTime) {
-        if now < self.next_obs {
+        // Window source: purge replay admissions at every rollover.
+        // Entries are keyed by window index, so anything older than the
+        // previous window can never be accepted again and is dropped
+        // eagerly — this is what keeps retained state O(windows), not
+        // O(flows).
+        if let Some(prf) = self.verifier.window_prf() {
+            let window = prf.window_of(puzzle_clock(now));
+            if window != self.purged_window {
+                self.purged_window = window;
+                if let Some(cache) = self.verifier.replay_cache() {
+                    cache.purge_expired(window, 1);
+                }
+            }
+        }
+        let Some(ctl) = &mut self.control else {
+            return;
+        };
+        if now < ctl.next_obs {
             return;
         }
         // One observation per due poll: a caller polling less often than
@@ -1949,39 +1462,49 @@ impl<B: HashBackend> DefensePolicy<B> for AdaptivePuzzleDefense<B> {
         // instead of feeding the controller phantom zero-delta "calm"
         // periods that would relax difficulty mid-attack.
         let s = *core.stats_mut();
-        let under_pressure = s.challenges_sent > self.prev.0
-            || s.syns_dropped > self.prev.1
-            || s.accept_overflow_drops > self.prev.2;
-        self.prev = (s.challenges_sent, s.syns_dropped, s.accept_overflow_drops);
+        let under_pressure = s.challenges_sent > ctl.prev.0
+            || s.syns_dropped > ctl.prev.1
+            || s.accept_overflow_drops > ctl.prev.2;
+        ctl.prev = (s.challenges_sent, s.syns_dropped, s.accept_overflow_drops);
         let obs = AdaptiveObservation {
-            puzzle_established: self.puzzle_established,
+            puzzle_established: ctl.puzzle_established,
             under_pressure,
         };
-        self.puzzle_established = 0;
-        let d = self.controller.observe(obs);
-        self.inner.set_difficulty_inner(d);
-        self.next_obs = now + self.period;
+        ctl.puzzle_established = 0;
+        self.cfg.difficulty = ctl.controller.observe(obs);
+        ctl.next_obs = now + CONTROL_PERIOD;
     }
 
-    fn forget_flow(&mut self, flow: &FlowKey) {
-        DefensePolicy::<B>::forget_flow(&mut self.inner, flow);
-    }
+    // `has_flow_state` deliberately stays the trait default (`false`
+    // for every flow): the policy's defining property is zero per-flow
+    // state before a valid proof.
 
-    fn has_flow_state(&self, flow: &FlowKey) -> bool {
-        DefensePolicy::<B>::has_flow_state(&self.inner, flow)
-    }
-
-    fn set_difficulty(&mut self, _difficulty: Difficulty) -> bool {
-        // The closed loop owns the knob; external tuning is refused so
-        // callers learn it did not stick.
-        false
+    fn set_difficulty(&mut self, difficulty: Difficulty) -> bool {
+        // The closed loop owns its knob: external tuning is refused so
+        // callers learn it did not stick. Otherwise the same config-time
+        // validation as construction: refusing an incompatible retune
+        // keeps the hot-path "validated at config time" invariant honest.
+        if self.control.is_some()
+            || validate_preimage_bits(self.cfg.preimage_bits, difficulty).is_err()
+        {
+            return false;
+        }
+        self.cfg.difficulty = difficulty;
+        true
     }
 
     fn stats(&self) -> PolicyStats {
+        // One whole-key `(tuple, timestamp)` admission per replay-cache
+        // entry. The clock source never purges the cache from its tick
+        // path (shards sweep opportunistically on insert only), so under
+        // sustained admissions it grows with the attack duration until a
+        // shard crosses its sweep threshold; the window source purges
+        // every rollover, bounding it to the acceptance window.
+        let admissions = self.verifier.replay_cache().map_or(0, |c| c.len());
         PolicyStats {
-            difficulty: Some(self.inner.difficulty()),
-            adaptive: true,
-            state_bytes: DefensePolicy::<B>::stats(&self.inner).state_bytes,
+            difficulty: Some(self.cfg.difficulty),
+            adaptive: self.control.is_some(),
+            state_bytes: admissions * std::mem::size_of::<(u128, u32)>(),
             ..PolicyStats::default()
         }
     }
@@ -2162,87 +1685,6 @@ impl<B: HashBackend> DefensePolicy<B> for Stacked<B> {
     }
 }
 
-/// Oracle-mode verification: identical structural and freshness checks
-/// to [`Verifier::verify`], with the hash-prefix check replaced by the
-/// keyed oracle comparison. Returns the verdict plus the hash count the
-/// *real* path would have charged (1 pre-image + 1 per checked proof),
-/// so CPU accounting stays faithful to the paper whichever mode runs.
-#[allow(clippy::too_many_arguments)]
-fn oracle_verify<B: HashBackend>(
-    backend: &B,
-    secret: &ServerSecret,
-    algo: AlgoId,
-    max_age: u32,
-    tuple: &ConnectionTuple,
-    params: &ChallengeParams,
-    solution: &Solution,
-    now: u32,
-) -> (Result<(), VerifyError>, u64) {
-    // Freshness window (same as the real verifier).
-    if params.timestamp > now {
-        return (
-            Err(VerifyError::FutureTimestamp {
-                issued_at: params.timestamp,
-                now,
-            }),
-            0,
-        );
-    }
-    if now - params.timestamp > max_age {
-        return (
-            Err(VerifyError::Expired {
-                issued_at: params.timestamp,
-                now,
-                max_age,
-            }),
-            0,
-        );
-    }
-    let k = params.difficulty.k();
-    if solution.len() != k as usize {
-        return (
-            Err(VerifyError::WrongSolutionCount {
-                expected: k,
-                got: solution.len(),
-            }),
-            0,
-        );
-    }
-    // Recompute the pre-image exactly as the real path does (1 hash).
-    let challenge = match puzzle_core::Challenge::issue_with(
-        backend,
-        secret,
-        tuple,
-        params.timestamp,
-        params.difficulty,
-        params.preimage_bits as u16,
-    ) {
-        Ok(c) => c,
-        Err(e) => return (Err(VerifyError::BadParams(e)), 0),
-    };
-    let len = challenge.preimage().len();
-    let mut hashes = 1u64;
-    for (i, proof) in solution.proofs().iter().enumerate() {
-        if proof.len() != algo.proof_len(len) {
-            return (Err(VerifyError::BadSolutionLength { index: i }), hashes);
-        }
-        hashes += algo.verify_hashes_per_proof();
-        if proof
-            != &oracle_proof_for_with(
-                backend,
-                algo,
-                secret,
-                challenge.preimage(),
-                i as u8 + 1,
-                len,
-            )
-        {
-            return (Err(VerifyError::Invalid { index: i }), hashes);
-        }
-    }
-    (Ok(()), hashes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2250,24 +1692,6 @@ mod tests {
 
     fn secret() -> ServerSecret {
         ServerSecret::from_bytes([7; 32])
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn defense_mode_compat_maps_each_variant() {
-        use crate::listener::DefenseMode;
-        let cases: [(DefenseMode, &str); 4] = [
-            (DefenseMode::None, "none"),
-            (DefenseMode::SynCache(SynCacheConfig::default()), "syncache"),
-            (DefenseMode::SynCookies, "cookies"),
-            (DefenseMode::Puzzles(PuzzleConfig::default()), "puzzles"),
-        ];
-        for (mode, expected) in cases {
-            let builder: PolicyBuilder<ScalarBackend> = mode.into_builder();
-            assert_eq!(builder.label(), expected);
-            let policy = builder.build(&secret(), &ScalarBackend);
-            assert_eq!(policy.name(), expected);
-        }
     }
 
     #[test]
@@ -2290,7 +1714,8 @@ mod tests {
         assert!(!DefensePolicy::<ScalarBackend>::set_difficulty(
             &mut none, d
         ));
-        let mut puzzles = PuzzleDefense::new(PuzzleConfig::default(), &s, &ScalarBackend);
+        let mut puzzles =
+            PuzzleDefense::new(PuzzleConfig::default(), None, None, &s, &ScalarBackend);
         assert!(DefensePolicy::<ScalarBackend>::set_difficulty(
             &mut puzzles,
             d
@@ -2304,13 +1729,8 @@ mod tests {
             3,
         )
         .unwrap();
-        let mut adaptive = AdaptivePuzzleDefense::new(
-            PuzzleConfig::default(),
-            ctl,
-            SimDuration::from_secs(1),
-            &s,
-            &ScalarBackend,
-        );
+        let mut adaptive =
+            PuzzleDefense::new(PuzzleConfig::default(), None, Some(ctl), &s, &ScalarBackend);
         assert!(!DefensePolicy::<ScalarBackend>::set_difficulty(
             &mut adaptive,
             d

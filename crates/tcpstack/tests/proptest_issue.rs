@@ -15,7 +15,8 @@ use std::net::Ipv4Addr;
 
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
-use puzzle_core::{AlgoId, ConnectionTuple, Difficulty, ServerSecret, Solver};
+use puzzle_core::{AlgoId, Challenge, ChallengeParams, Difficulty, ServerSecret, Solver};
+use tcpstack::adaptive::AdaptiveDifficulty;
 use tcpstack::{
     Listener, ListenerConfig, PolicyBuilder, PuzzleConfig, SegmentBuilder, SolutionOption,
     SynCacheConfig, TcpFlags, TcpOption, TcpSegment, VerifyMode,
@@ -98,7 +99,7 @@ fn segment(step: &Step) -> TcpSegment {
 /// Small queues and a short hold so pressure, the puzzle latch,
 /// cache-full, and overflow paths all trigger within a short burst;
 /// tiny real difficulty so solving is instant.
-fn puzzle_cfg() -> PuzzleConfig {
+fn puzzle_cfg(algo: AlgoId) -> PuzzleConfig {
     PuzzleConfig {
         difficulty: Difficulty::new(1, 4).expect("valid"),
         preimage_bits: 32,
@@ -106,11 +107,22 @@ fn puzzle_cfg() -> PuzzleConfig {
         verify: VerifyMode::Real,
         hold: SimDuration::from_secs(2),
         verify_workers: 1,
-        algo: AlgoId::Prefix,
+        algo,
     }
 }
 
+/// Number of policies under test.
+const POLICIES: usize = 10;
+/// The near-stateless prefix policy, alone in the stack.
+const STATELESS: usize = 5;
+
 fn policy_under_test<B: HashBackend + 'static>(idx: usize) -> PolicyBuilder<B> {
+    let spill = || {
+        PolicyBuilder::syn_cache(SynCacheConfig {
+            capacity: 1,
+            lifetime: SimDuration::from_secs(2),
+        })
+    };
     match idx {
         0 => PolicyBuilder::none(),
         1 => PolicyBuilder::syn_cookies(),
@@ -118,30 +130,29 @@ fn policy_under_test<B: HashBackend + 'static>(idx: usize) -> PolicyBuilder<B> {
             capacity: 2,
             lifetime: SimDuration::from_secs(2),
         }),
-        3 => PolicyBuilder::puzzles(puzzle_cfg()),
+        3 => PolicyBuilder::puzzles(puzzle_cfg(AlgoId::Prefix)),
         4 => PolicyBuilder::stacked(vec![
-            PolicyBuilder::syn_cache(SynCacheConfig {
-                capacity: 1,
-                lifetime: SimDuration::from_secs(2),
-            }),
-            PolicyBuilder::puzzles(puzzle_cfg()),
+            spill(),
+            PolicyBuilder::puzzles(puzzle_cfg(AlgoId::Prefix)),
         ]),
-        5 => PolicyBuilder::stateless_puzzles(puzzle_cfg(), 8),
-        _ => PolicyBuilder::stacked(vec![
-            PolicyBuilder::syn_cache(SynCacheConfig {
-                capacity: 1,
-                lifetime: SimDuration::from_secs(2),
-            }),
-            PolicyBuilder::stateless_puzzles(puzzle_cfg(), 8),
+        STATELESS => PolicyBuilder::stateless_puzzles(puzzle_cfg(AlgoId::Prefix), 8),
+        6 => PolicyBuilder::stacked(vec![
+            spill(),
+            PolicyBuilder::stateless_puzzles(puzzle_cfg(AlgoId::Prefix), 8),
         ]),
+        7 => PolicyBuilder::puzzles(puzzle_cfg(AlgoId::Collide)),
+        8 => PolicyBuilder::stateless_puzzles(puzzle_cfg(AlgoId::Collide), 8),
+        _ => PolicyBuilder::adaptive_puzzles(
+            puzzle_cfg(AlgoId::Prefix),
+            AdaptiveDifficulty::new(
+                Difficulty::new(1, 3).expect("valid"),
+                Difficulty::new(1, 6).expect("valid"),
+                0.5,
+                2,
+            )
+            .expect("valid range"),
+        ),
     }
-}
-
-/// Whether the policy under test issues windowed (rspow-style)
-/// challenges, whose pre-images clients cannot recompute — the
-/// completion round must solve the wire pre-image as-is.
-fn is_windowed(idx: usize) -> bool {
-    idx >= 5
 }
 
 fn mk_listener<B: HashBackend + Copy + 'static>(
@@ -194,10 +205,7 @@ fn observe<B: HashBackend + 'static>(
 /// port carried a challenge, a plain completion ACK otherwise. At most
 /// one solution per flow keeps the round clear of the documented
 /// same-run replay divergence.
-fn completion_round(
-    per_port: &BTreeMap<u16, (u32, TcpSegment)>,
-    windowed: bool,
-) -> Vec<(Ipv4Addr, TcpSegment)> {
+fn completion_round(per_port: &BTreeMap<u16, (u32, TcpSegment)>) -> Vec<(Ipv4Addr, TcpSegment)> {
     let mut segs = Vec::new();
     for (&port, (client_isn, reply)) in per_port {
         let seg = if let Some(copt) = reply.challenge() {
@@ -206,35 +214,19 @@ fn completion_round(
                 .map(|(tsval, _)| tsval)
                 .or(copt.timestamp)
                 .unwrap_or(0);
-            let challenge = if windowed {
-                // Windowed pre-images derive from the server's secret
-                // window nonce, so clients (and this test) can only
-                // solve exactly what arrived on the wire.
-                puzzle_core::Challenge::from_wire(
-                    puzzle_core::ChallengeParams {
-                        difficulty: Difficulty::new(copt.k, copt.m).expect("valid"),
-                        preimage_bits: copt.l_bits(),
-                        timestamp: issued,
-                    },
-                    copt.preimage.clone(),
-                )
-                .expect("valid challenge")
-            } else {
-                let tuple = ConnectionTuple::new(CLIENT_IP, port, SERVER_IP, 80, *client_isn);
-                let challenge = puzzle_core::Challenge::issue(
-                    &ServerSecret::from_bytes([7; 32]),
-                    &tuple,
-                    issued,
-                    Difficulty::new(copt.k, copt.m).expect("valid"),
-                    copt.l_bits() as u16,
-                )
-                .expect("valid challenge");
-                if challenge.preimage() != &copt.preimage[..] {
-                    continue; // reply was for an earlier SYN of this port
-                }
-                challenge
-            };
-            let solved = Solver::new().solve(&challenge);
+            // Window-bound pre-images derive from the server's secret
+            // window nonce, so clients (and this test) solve exactly
+            // what arrived on the wire, whichever policy sent it.
+            let challenge = Challenge::from_wire(
+                ChallengeParams {
+                    difficulty: Difficulty::new(copt.k, copt.m).expect("valid"),
+                    preimage_bits: copt.l_bits(),
+                    timestamp: issued,
+                },
+                copt.preimage.clone(),
+            )
+            .expect("valid challenge");
+            let solved = Solver::new().with_algo(copt.algo).solve(&challenge);
             let sol = SolutionOption::build(1460, 7, solved.solution.proofs(), None);
             SegmentBuilder::new(port, 80)
                 .seq(client_isn.wrapping_add(1))
@@ -291,7 +283,7 @@ fn check_backend<B: HashBackend + Copy + 'static>(
         observe(&mut seq, seq_replies, seq_events),
         observe(&mut batch, out.replies, out.events),
     );
-    if policy_idx == 5 {
+    if policy_idx == STATELESS {
         // The near-stateless policy's defining property: an arbitrary
         // pre-proof burst — however many challenges it provokes — leaves
         // zero per-flow defence state, in both pipelines.
@@ -302,7 +294,7 @@ fn check_backend<B: HashBackend + Copy + 'static>(
     // Completion round: solutions + handshake ACKs derived from the
     // (identical) round-1 replies, fed the same two ways.
     let later = now + SimDuration::from_millis(100);
-    let segs2 = completion_round(&per_port, is_windowed(policy_idx));
+    let segs2 = completion_round(&per_port);
     let mut seq_replies = Vec::new();
     let mut seq_events = Vec::new();
     for (src, seg) in &segs2 {
@@ -319,13 +311,13 @@ fn check_backend<B: HashBackend + Copy + 'static>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Batched issuance ≡ sequential issuance for every policy, on
     /// every backend, over arbitrary bursts.
     #[test]
     fn batched_issuance_is_sequential_issuance(
-        policy_idx in 0usize..7,
+        policy_idx in 0usize..POLICIES,
         steps in prop::collection::vec(arb_step(), 1..40),
     ) {
         check_backend(ScalarBackend, policy_idx, &steps)?;

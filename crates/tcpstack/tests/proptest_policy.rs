@@ -2,20 +2,28 @@
 //! to that layer installed bare — same replies, same events, same
 //! counters, same queue depths — under arbitrary interleavings of SYNs,
 //! handshake completions, forged ACKs, real puzzle solutions, data,
-//! RSTs, polls, and accepts, for every built-in policy.
+//! RSTs, polls, and accepts, for every built-in policy — and so does
+//! feeding each segment through the batched pipeline (`on_segments`)
+//! instead of the sequential one (`on_segment`).
 //!
-//! This is the composition law that makes `Stacked` safe to use as the
-//! default composition operator: wrapping adds nothing and removes
-//! nothing.
+//! The first is the composition law that makes `Stacked` safe to use as
+//! the default composition operator: wrapping adds nothing and removes
+//! nothing. The second is the contract that makes batching a throughput
+//! optimisation, never a behaviour change (`proptest_issue.rs` checks it
+//! over whole bursts). Both run over all five puzzle builders — the
+//! cells of `PuzzleDefense`'s nonce source × difficulty source table —
+//! which must also hold no per-flow state and report `PolicyStats` as
+//! the three separate policies they replaced did.
 
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
-use puzzle_core::{AlgoId, ConnectionTuple, Difficulty, ServerSecret, Solver};
+use puzzle_core::{AlgoId, Challenge, ChallengeParams, Difficulty, ServerSecret, Solver};
+use tcpstack::adaptive::AdaptiveDifficulty;
 use tcpstack::{
-    Listener, ListenerConfig, PolicyBuilder, PuzzleConfig, SegmentBuilder, SolutionOption,
+    FlowKey, Listener, ListenerConfig, PolicyBuilder, PuzzleConfig, SegmentBuilder, SolutionOption,
     SynCacheConfig, TcpFlags, TcpOption, TcpSegment, VerifyMode,
 };
 
@@ -61,9 +69,32 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// The policies under test. Small queues and a short hold so pressure,
-/// latch, overflow, cache-full, and expiry paths all trigger within a
-/// short script; tiny real difficulty so `Solve` is instant.
+/// Number of policies under test; the puzzle builders start at
+/// [`FIRST_PUZZLE`].
+const POLICIES: usize = 8;
+const FIRST_PUZZLE: usize = 3;
+const ADAPTIVE: usize = 7;
+/// The closed loop's range: `m` moves between these, `k` stays 1.
+const ADAPTIVE_M: (u8, u8) = (3, 6);
+
+/// Tiny real difficulty so `Solve` is instant; a short hold so the
+/// latch releases within a script.
+fn puzzle_cfg(algo: AlgoId) -> PuzzleConfig {
+    PuzzleConfig {
+        difficulty: Difficulty::new(1, 4).expect("valid"),
+        preimage_bits: 32,
+        expiry: 8,
+        verify: VerifyMode::Real,
+        hold: SimDuration::from_secs(2),
+        verify_workers: 1,
+        algo,
+    }
+}
+
+/// The policies under test. Small queues so pressure, latch, overflow,
+/// cache-full, and expiry paths all trigger within a short script. A
+/// two-second window rolls over a few times per script; an adaptive
+/// target below one admission per period makes every proof escalate.
 fn policy_under_test(idx: usize) -> PolicyBuilder<puzzle_crypto::ScalarBackend> {
     match idx {
         0 => PolicyBuilder::none(),
@@ -72,15 +103,20 @@ fn policy_under_test(idx: usize) -> PolicyBuilder<puzzle_crypto::ScalarBackend> 
             capacity: 2,
             lifetime: SimDuration::from_secs(2),
         }),
-        _ => PolicyBuilder::puzzles(PuzzleConfig {
-            difficulty: Difficulty::new(1, 4).expect("valid"),
-            preimage_bits: 32,
-            expiry: 8,
-            verify: VerifyMode::Real,
-            hold: SimDuration::from_secs(2),
-            verify_workers: 1,
-            algo: AlgoId::Prefix,
-        }),
+        3 => PolicyBuilder::puzzles(puzzle_cfg(AlgoId::Prefix)),
+        4 => PolicyBuilder::puzzles(puzzle_cfg(AlgoId::Collide)),
+        5 => PolicyBuilder::stateless_puzzles(puzzle_cfg(AlgoId::Prefix), 2),
+        6 => PolicyBuilder::stateless_puzzles(puzzle_cfg(AlgoId::Collide), 2),
+        _ => PolicyBuilder::adaptive_puzzles(
+            puzzle_cfg(AlgoId::Prefix),
+            AdaptiveDifficulty::new(
+                Difficulty::new(1, ADAPTIVE_M.0).expect("valid"),
+                Difficulty::new(1, ADAPTIVE_M.1).expect("valid"),
+                0.5,
+                2,
+            )
+            .expect("valid range"),
+        ),
     }
 }
 
@@ -89,6 +125,8 @@ fn policy_under_test(idx: usize) -> PolicyBuilder<puzzle_crypto::ScalarBackend> 
 /// into a transcript string.
 struct Driver {
     listener: Listener,
+    /// Feed each segment as a batch of one through `on_segments`.
+    batched: bool,
     now: SimTime,
     /// Per client: ISN of its last SYN.
     last_isn: [u32; CLIENTS],
@@ -98,7 +136,7 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(policy: PolicyBuilder<puzzle_crypto::ScalarBackend>) -> Self {
+    fn new(policy: PolicyBuilder<puzzle_crypto::ScalarBackend>, batched: bool) -> Self {
         let mut cfg = ListenerConfig::new(SERVER_IP, 80);
         cfg.backlog = 1;
         cfg.accept_backlog = 2;
@@ -109,6 +147,7 @@ impl Driver {
                 puzzle_crypto::ScalarBackend,
                 &policy,
             ),
+            batched,
             now: SimTime::ZERO,
             last_isn: [0; CLIENTS],
             last_reply: [None, None, None],
@@ -117,7 +156,11 @@ impl Driver {
     }
 
     fn feed(&mut self, client: usize, seg: TcpSegment) {
-        let out = self.listener.on_segment(self.now, CLIENT_IP, &seg);
+        let out = if self.batched {
+            self.listener.on_segments(self.now, &[(CLIENT_IP, seg)])
+        } else {
+            self.listener.on_segment(self.now, CLIENT_IP, &seg)
+        };
         for (dst, reply) in &out.replies {
             let _ = writeln!(self.log, "reply {dst} {reply:?}");
             // Track the latest handshake reply per client for
@@ -188,20 +231,21 @@ impl Driver {
                     .or(copt.timestamp)
                     .unwrap_or(0);
                 let client_isn = self.last_isn[client];
-                let tuple =
-                    ConnectionTuple::new(CLIENT_IP, client_port(client), SERVER_IP, 80, client_isn);
-                let challenge = puzzle_core::Challenge::issue(
-                    &ServerSecret::from_bytes([7; 32]),
-                    &tuple,
-                    issued,
-                    Difficulty::new(copt.k, copt.m).expect("valid"),
-                    copt.l_bits() as u16,
+                // Solve exactly what arrived on the wire, as a client
+                // does: a window-bound pre-image cannot be recomputed
+                // without the server's nonce. A challenge gone stale
+                // (new SYN, retuned difficulty) is the server's to
+                // reject.
+                let challenge = Challenge::from_wire(
+                    ChallengeParams {
+                        difficulty: Difficulty::new(copt.k, copt.m).expect("valid"),
+                        preimage_bits: copt.l_bits(),
+                        timestamp: issued,
+                    },
+                    copt.preimage.clone(),
                 )
                 .expect("valid challenge");
-                if challenge.preimage() != &copt.preimage[..] {
-                    return; // stale challenge (difficulty changed); skip
-                }
-                let solved = Solver::new().solve(&challenge);
+                let solved = Solver::new().with_algo(copt.algo).solve(&challenge);
                 let sol = SolutionOption::build(1460, 7, solved.solution.proofs(), None);
                 let seg = SegmentBuilder::new(client_port(client), 80)
                     .seq(client_isn.wrapping_add(1))
@@ -238,6 +282,39 @@ impl Driver {
         }
     }
 
+    /// What every puzzle builder must report, as the three separate
+    /// policies did: the closed-loop flag only on `adaptive`; the
+    /// configured difficulty, or one inside the controller's range; no
+    /// per-flow state for any flow, before or after a proof; and as
+    /// retained bytes nothing but one replay admission per verified
+    /// solution — so none at all before the first valid proof.
+    fn check_puzzle_stats(&self, idx: usize) {
+        let ps = self.listener.policy_stats();
+        assert_eq!(ps.adaptive, idx == ADAPTIVE);
+        let d = ps.difficulty.expect("puzzle policies report a difficulty");
+        if idx == ADAPTIVE {
+            assert_eq!(d.k(), 1);
+            assert!(
+                (ADAPTIVE_M.0..=ADAPTIVE_M.1).contains(&d.m()),
+                "m = {}",
+                d.m()
+            );
+        } else {
+            assert_eq!(d, Difficulty::new(1, 4).expect("valid"));
+        }
+        for client in 0..CLIENTS {
+            let flow = FlowKey {
+                addr: CLIENT_IP,
+                port: client_port(client),
+            };
+            assert!(!self.listener.policy_has_flow_state(&flow));
+        }
+        let admission = std::mem::size_of::<(u128, u32)>();
+        let proofs = self.listener.stats().established_puzzle as usize;
+        assert_eq!(ps.state_bytes % admission, 0);
+        assert!(ps.state_bytes <= proofs * admission);
+    }
+
     fn finish(mut self) -> String {
         let _ = writeln!(self.log, "stats {:?}", self.listener.stats());
         let _ = writeln!(self.log, "policy_stats {:?}", self.listener.policy_stats());
@@ -245,29 +322,33 @@ impl Driver {
     }
 }
 
-fn transcript(policy: PolicyBuilder<puzzle_crypto::ScalarBackend>, actions: &[Action]) -> String {
-    let mut d = Driver::new(policy);
+fn transcript(idx: usize, stacked: bool, batched: bool, actions: &[Action]) -> String {
+    let mut policy = policy_under_test(idx);
+    if stacked {
+        policy = PolicyBuilder::stacked(vec![policy]);
+    }
+    let mut d = Driver::new(policy, batched);
     for a in actions {
         d.step(a);
+        if idx >= FIRST_PUZZLE {
+            d.check_puzzle_stats(idx);
+        }
     }
     d.finish()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `Stacked([X])` ≡ `X` for every built-in policy, over arbitrary
-    /// protocol scripts.
+    /// `Stacked([X])` ≡ `X` and batched ≡ sequential for every built-in
+    /// policy, over arbitrary protocol scripts.
     #[test]
-    fn stacked_singleton_is_identity(
-        policy_idx in 0usize..4,
+    fn stacking_one_layer_and_batching_change_nothing(
+        policy_idx in 0usize..POLICIES,
         actions in prop::collection::vec(arb_action(), 1..50),
     ) {
-        let bare = transcript(policy_under_test(policy_idx), &actions);
-        let stacked = transcript(
-            PolicyBuilder::stacked(vec![policy_under_test(policy_idx)]),
-            &actions,
-        );
-        prop_assert_eq!(bare, stacked);
+        let bare = transcript(policy_idx, false, false, &actions);
+        prop_assert_eq!(&bare, &transcript(policy_idx, true, false, &actions));
+        prop_assert_eq!(&bare, &transcript(policy_idx, false, true, &actions));
     }
 }

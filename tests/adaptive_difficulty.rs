@@ -1,6 +1,6 @@
 //! Integration: the §7 closed-loop difficulty controller, live in the
-//! simulated testbed through the `AdaptivePuzzleDefense` policy (the
-//! `adaptive` defense spec) — difficulty escalates while a solving
+//! simulated testbed through `PuzzleDefense`'s closed difficulty loop
+//! (the `adaptive` defense spec) — difficulty escalates while a solving
 //! botnet buys service too fast, throttles it, and relaxes after the
 //! attack ends. The controller runs inside the listener's own policy
 //! tick; the server only samples the difficulty it holds in force.

@@ -58,8 +58,8 @@ fn golden_conn_flood() {
 /// Every registered defence spec, run through the syn-flood and
 /// conn-flood golden scenarios. The legacy four (none, syncache,
 /// cookies, nash puzzles) digests were captured **before** the
-/// `DefensePolicy` redesign replaced the closed `DefenseMode` enum — the
-/// composable pipeline must reproduce the enum-era behaviour
+/// `DefensePolicy` redesign replaced the listener's closed defence enum —
+/// the composable pipeline must reproduce the enum-era behaviour
 /// byte-for-byte. The `adaptive` and `stacked` rows pin the new
 /// compositions' first capture, so the CI backend matrix asserts them
 /// per hash backend like every other golden run.
