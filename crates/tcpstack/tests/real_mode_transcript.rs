@@ -16,6 +16,14 @@
 //! The four digests below were captured before the three puzzle
 //! policies were folded into one; they hold on every hash backend
 //! (`PUZZLE_BACKEND=scalar|multilane|shani`).
+//!
+//! A second script runs SYN cookies, the SYN cache and
+//! `stacked[syncache+puzzles]` through the same harness to pin the
+//! *order* in which one batch's replies are issued — every plain and
+//! challenge SYN-ACK carries a server ISN drawn from one counter, so a
+//! SYN acted on ahead of an earlier, still-deferred one changes bytes.
+//! Its six digests were captured while `on_segment` and `on_segments`
+//! were still separate code paths.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -26,7 +34,7 @@ use puzzle_crypto::{auto_backend, AutoBackend, HashBackend};
 use tcpstack::listener::ListenerOutput;
 use tcpstack::{
     FlowKey, ListenerConfig, PolicyBuilder, PuzzleConfig, SegmentBuilder, ShardedListener,
-    SolutionOption, TcpFlags, TcpOption, TcpSegment, VerifyMode,
+    SolutionOption, SynCacheConfig, TcpFlags, TcpOption, TcpSegment, VerifyMode,
 };
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -99,7 +107,8 @@ impl Run {
 
     fn syn(&mut self, port: u16, ts: bool) -> TcpSegment {
         let isn = 0x1000_0000 + u32::from(port) * 7919;
-        self.flows.insert(port, (isn, ts, None));
+        // A repeated SYN keeps the last answer: it may draw none.
+        self.flows.entry(port).or_insert((isn, ts, None));
         let mut b = SegmentBuilder::new(port, 80)
             .seq(isn)
             .flags(TcpFlags::SYN)
@@ -153,6 +162,25 @@ impl Run {
         b.option(TcpOption::Solution(sol))
             .payload(b"GET /gettext/64".to_vec())
             .build()
+    }
+
+    /// Answers whatever SYN-ACK `port` last received the way a client
+    /// does — a solution for a challenge, a plain ACK for a cookie,
+    /// cache or stateful SYN-ACK, nothing for a SYN that drew no answer.
+    fn complete(&self, port: u16) -> Option<TcpSegment> {
+        let (isn, _, reply) = &self.flows[&port];
+        let reply = reply.as_ref()?;
+        if reply.challenge().is_some() {
+            return Some(self.solution(port, Tamper::None));
+        }
+        Some(
+            SegmentBuilder::new(port, 80)
+                .seq(isn.wrapping_add(1))
+                .ack_num(reply.seq.wrapping_add(1))
+                .flags(TcpFlags::ACK)
+                .payload(b"GET /gettext/64".to_vec())
+                .build(),
+        )
     }
 
     fn record(&mut self, out: &ListenerOutput) {
@@ -305,6 +333,105 @@ fn transcript_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String 
     r.round(16_000, segs);
 
     r.digest()
+}
+
+/// The ordering script. Queues as above (one listen-queue slot, four
+/// accept-queue slots); the SYN cache holds two entries for five
+/// seconds. Per policy, what each step meets is noted as
+/// cookies / cache / stacked.
+fn ordering_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String {
+    let mut r = Run::new(policy, feed);
+
+    // t = 1 s, one batch. 1999 takes the listen-queue slot. 2000 and
+    // 2001 draw cookies / fill the cache / fill the cache; from 2002 on
+    // it is cookies / drops / challenges — under the stack the policy's
+    // answer switches from immediate to deferred in mid-run. 1999's
+    // duplicate SYN (a retransmitted SYN-ACK, no new ISN) lands inside
+    // that deferred run, and 2000's second SYN comes from a flow that
+    // already holds a cache entry.
+    let segs = vec![
+        r.syn(1999, true),
+        r.syn(2000, true),
+        r.syn(2001, false),
+        r.syn(2002, true),
+        r.syn(1999, true),
+        r.syn(2003, false),
+        r.syn(2000, true),
+        r.syn(2004, true),
+    ];
+    r.round(1_000, segs);
+
+    // t = 2 s. Everyone answers. Under the stack 2000 holds a cache
+    // entry *and* was challenged since, so its solution-bearing ACK
+    // takes the sequential `on_ack` route; 2001 promotes from the
+    // cache; 2002..=2004 solve, and the fifth completion finds the
+    // accept queue full. Then a SYN with both queues full: dropped /
+    // cached (the bare cache established only two) / challenged.
+    let mut segs: Vec<TcpSegment> = (2000..=2004).filter_map(|p| r.complete(p)).collect();
+    segs.push(r.syn(2005, true));
+    r.round(2_000, segs);
+
+    // t = 3 s, after the application took two connections: the listen
+    // queue alone is full. 2006 and 2007: cookies / one cached, one
+    // dropped / one cached (2000's entry lingers), one challenged. An
+    // RST drops 2006's cache entry in mid-run, so 2010 is cached where
+    // 2007 was not. Then 1999 completes and frees the listen queue:
+    // 2008 is admitted statefully and 2009 meets a full queue again —
+    // except under the stack, where the puzzle layer's hold challenges
+    // both.
+    r.accept_and_close();
+    r.accept_and_close();
+    let mut segs = vec![
+        r.syn(2006, false),
+        r.syn(2007, true),
+        SegmentBuilder::new(2006, 80).flags(TcpFlags::RST).build(),
+        r.syn(2010, true),
+    ];
+    segs.extend(r.complete(1999));
+    segs.push(r.syn(2008, true));
+    segs.push(r.syn(2009, false));
+    r.round(3_000, segs);
+
+    // t = 7 s, accept queue emptied: cache entries made at t = 2 are at
+    // their expiry instant (an ACK still promotes; the poll that
+    // follows reaps), those made at t = 1 are past it. Five answers
+    // for four accept-queue slots.
+    while r.accept_and_close().is_some() {}
+    let segs: Vec<TcpSegment> = [2010, 2005, 2007, 2008, 2009]
+        .into_iter()
+        .filter_map(|p| r.complete(p))
+        .collect();
+    r.round(7_000, segs);
+
+    r.digest()
+}
+
+#[test]
+fn ordering_transcripts_match_the_pinned_digests() {
+    let cache = || {
+        PolicyBuilder::syn_cache(SynCacheConfig {
+            capacity: 2,
+            lifetime: SimDuration::from_secs(5),
+        })
+    };
+    let policies = [
+        PolicyBuilder::syn_cookies(),
+        cache(),
+        PolicyBuilder::stacked(vec![cache(), PolicyBuilder::puzzles(puzzle_cfg())]),
+    ];
+    let actual: Vec<String> = policies
+        .iter()
+        .flat_map(|p| [Feed::Sequential, Feed::Batched].map(|feed| ordering_digest(p, feed)))
+        .collect();
+    let pinned = [
+        "1787ba7324246b99dfa2abaa08c3f3ad6ec3a77b5d34521b849c03e62c0fe2aa",
+        "1787ba7324246b99dfa2abaa08c3f3ad6ec3a77b5d34521b849c03e62c0fe2aa",
+        "cce8cc833bacd53c87dd835adbd600dfc336ac573bb3d74281835091b1a9e37b",
+        "cce8cc833bacd53c87dd835adbd600dfc336ac573bb3d74281835091b1a9e37b",
+        "8d0c544a812c7364263d6e992dc09b617e57ddeefaf3f5958157548162fc6a97",
+        "8d0c544a812c7364263d6e992dc09b617e57ddeefaf3f5958157548162fc6a97",
+    ];
+    assert_eq!(actual, pinned);
 }
 
 #[test]
