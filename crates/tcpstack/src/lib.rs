@@ -59,8 +59,8 @@ pub use listener::{
 pub use options::{ChallengeOption, OptionDecodeError, SolutionOption, TcpOption};
 pub use policy::{
     AckClass, AckDisposition, DefensePolicy, NoDefense, PendingSolution, PolicyBuilder,
-    PolicyStats, PuzzleDefense, QueuePressure, Stacked, SynCacheDefense, SynClass,
-    SynCookieDefense, SynDisposition,
+    PolicyStats, PuzzleDefense, QueuePressure, Stacked, SynCacheDefense, SynCookieDefense,
+    SynDisposition,
 };
 pub use segment::{
     SegmentBuilder, SegmentDecodeError, TcpFlags, TcpSegment, MAX_OPTIONS_LEN, TCP_HEADER_LEN,

@@ -24,13 +24,20 @@
 //! [`DefensePolicy`](crate::policy::DefensePolicy) pipeline: the listener
 //! owns the queues, counters, and crypto identity ([`ListenerCore`]) and
 //! consults its installed policy at each phase.
+//!
+//! There is one step path. [`Listener::on_segment`] is
+//! [`Listener::on_segments`] over a batch of one, so the simulator (one
+//! segment per event) and the wire server (what the socket held) run the
+//! same loop, the same policy hooks and the same issuance routine; the
+//! loop flushes a run of deferred SYN answers before it acts on anything
+//! else, which is what makes batch boundaries unobservable.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::policy::{AckClass, AckDisposition, PendingSolution, PolicyBuilder, PolicyStats};
-use crate::policy::{DefensePolicy, QueuePressure, SynClass, SynDisposition};
+use crate::policy::{DefensePolicy, QueuePressure, SynDisposition};
 use crate::segment::{SegmentBuilder, TcpFlags, TcpSegment};
 use netsim::{SimDuration, SimTime};
 use puzzle_core::{AlgoId, ConnectionTuple, Difficulty, ServerSecret, VerifyError, VerifyRequest};
@@ -455,10 +462,10 @@ pub struct ListenerCore<B: HashBackend> {
     /// Reusable verdict staging for the verification paths.
     pub(crate) verdict_buf: Vec<Result<(), VerifyError>>,
     /// HMAC key schedule for ISN minting, expanded once from the secret
-    /// so neither the scalar nor the batched mint re-keys per call.
+    /// so the mint never re-keys per call.
     pub(crate) isn_schedule: HmacKeySchedule,
-    /// Reusable staging for [`ListenerCore::next_server_isn_batch`]:
-    /// message arena plus inner-pass and outer-pass digest buffers.
+    /// Reusable staging for the ISN mint: message arena plus inner-pass
+    /// and outer-pass digest buffers.
     pub(crate) isn_arena: MessageArena,
     pub(crate) isn_inner: Vec<Digest>,
     pub(crate) isn_tags: Vec<Digest>,
@@ -516,31 +523,31 @@ impl<B: HashBackend> ListenerCore<B> {
             || self.listen_q.contains_key(flow)
     }
 
-    /// Mints the next server ISN for `flow` (keyed counter hash, through
-    /// the precomputed key schedule). Charges the mint's two HMAC passes
-    /// to `issue_hashes`.
+    /// Mints the next server ISN for `flow`: [`next_server_isn_batch`]
+    /// over one flow.
+    ///
+    /// [`next_server_isn_batch`]: ListenerCore::next_server_isn_batch
     pub fn next_server_isn(&mut self, flow: FlowKey) -> u32 {
-        self.isn_counter += 1;
-        let t = self.isn_schedule.mac_parts(&[
-            b"isn",
-            &flow.addr.octets(),
-            &flow.port.to_be_bytes(),
-            &self.isn_counter.to_be_bytes(),
-        ]);
-        self.stats.issue_hashes += 2;
-        u32::from_be_bytes([t[0], t[1], t[2], t[3]])
+        self.mint_isn_tags(&[flow]);
+        isn_from_tag(&self.isn_tags[0])
     }
 
     /// Mints one server ISN per entry of `flows`, in order, into `out`
-    /// (cleared first) — the batched twin of
-    /// [`ListenerCore::next_server_isn`]: both HMAC passes of every mint
-    /// run through [`HashBackend::sha256_arena_seeded`] from the key
-    /// schedule's cached ipad/opad midstates (one compression per pass —
-    /// the padded key blocks never re-enter the kernel), and the counter
-    /// advances in arrival order so the ISN sequence is byte-identical
-    /// to sequential minting.
+    /// (cleared first). The counter advances in arrival order, so the
+    /// ISN sequence does not depend on how a run of mints is split into
+    /// calls. Charges each mint's two HMAC passes to `issue_hashes`.
     pub fn next_server_isn_batch(&mut self, flows: &[FlowKey], out: &mut Vec<u32>) {
+        self.mint_isn_tags(flows);
         out.clear();
+        out.extend(self.isn_tags.iter().map(isn_from_tag));
+    }
+
+    /// The one ISN mint (keyed counter hash): leaves one HMAC tag per
+    /// flow in `isn_tags`. Both HMAC passes of every mint run through
+    /// [`HashBackend::sha256_arena_seeded`] from the key schedule's
+    /// cached ipad/opad midstates (one compression per pass — the padded
+    /// key blocks never re-enter the kernel).
+    fn mint_isn_tags(&mut self, flows: &[FlowKey]) {
         self.isn_arena.clear();
         self.isn_inner.clear();
         self.isn_tags.clear();
@@ -568,11 +575,6 @@ impl<B: HashBackend> ListenerCore<B> {
             &mut self.isn_tags,
         );
         self.stats.issue_hashes += 2 * flows.len() as u64;
-        out.extend(
-            self.isn_tags
-                .iter()
-                .map(|t| u32::from_be_bytes([t[0], t[1], t[2], t[3]])),
-        );
     }
 
     /// The connection tuple binding challenges to `flow`.
@@ -849,20 +851,11 @@ impl<B: HashBackend> Listener<B> {
         self.core.accepted.remove(&flow);
     }
 
-    /// Feeds one inbound segment. `src` is the IP source address (possibly
+    /// Feeds one inbound segment — a batch of one through the loop behind
+    /// [`Listener::on_segments`]. `src` is the IP source address (possibly
     /// spoofed — the listener treats it as opaque, like a real stack).
     pub fn on_segment(&mut self, now: SimTime, src: Ipv4Addr, seg: &TcpSegment) -> ListenerOutput {
-        let mut out = ListenerOutput::default();
-        match self.collect_solution(src, seg, 0, &mut out) {
-            AckClass::Pending(p) => {
-                let mut pending = vec![p];
-                self.flush_solutions(now, &mut pending, &mut out);
-            }
-            AckClass::Handled => {}
-            AckClass::Sequential => self.segment_inner(now, src, seg, &mut out),
-        }
-        self.notify_established(&out);
-        out
+        self.on_segments_iter(now, std::iter::once((src, seg)))
     }
 
     /// Feeds a burst of inbound segments, verifying all their puzzle
@@ -875,19 +868,20 @@ impl<B: HashBackend> Listener<B> {
     /// Runs of consecutive solution-bearing ACKs from unknown flows — the
     /// dominant traffic shape under a solving connection flood — are
     /// queue-gated in arrival order (each unverified batch member counts
-    /// as a presumptive admission, matching sequential processing when
+    /// as a presumptive admission, matching one-by-one processing when
     /// solutions are valid) and then handed to the batch engine as one
     /// round-structured hash workload. Any other segment flushes the
-    /// pending run first, so segment ordering semantics are preserved.
-    /// One divergence from strictly sequential processing: a flow sending
-    /// two solution ACKs in the same run has its second rejected as
+    /// pending run first, so segment ordering semantics are preserved:
+    /// however a segment sequence is split into calls, the replies are
+    /// the same. One divergence between splits: a flow sending two
+    /// solution ACKs in the same run has its second rejected as
     /// [`VerifyError::Replayed`] instead of being treated as a data ACK.
     pub fn on_segments(
         &mut self,
         now: SimTime,
         segments: &[(Ipv4Addr, TcpSegment)],
     ) -> ListenerOutput {
-        self.on_segments_iter(now, segments.iter())
+        self.on_segments_iter(now, segments.iter().map(|(src, seg)| (*src, seg)))
     }
 
     /// Feeds the subset of `segments` selected by `idxs`, in index
@@ -903,25 +897,27 @@ impl<B: HashBackend> Listener<B> {
         segments: &[(Ipv4Addr, TcpSegment)],
         idxs: &[u32],
     ) -> ListenerOutput {
-        self.on_segments_iter(now, idxs.iter().map(|&i| &segments[i as usize]))
+        let selected = idxs.iter().map(|&i| {
+            let (src, seg) = &segments[i as usize];
+            (*src, seg)
+        });
+        self.on_segments_iter(now, selected)
     }
 
-    /// The shared batch loop behind [`Listener::on_segments`] and
-    /// [`Listener::on_segments_indexed`].
+    /// The one step loop, behind [`Listener::on_segment`],
+    /// [`Listener::on_segments`] and [`Listener::on_segments_indexed`].
     fn on_segments_iter<'a>(
         &mut self,
         now: SimTime,
-        segments: impl Iterator<Item = &'a (Ipv4Addr, TcpSegment)>,
+        segments: impl Iterator<Item = (Ipv4Addr, &'a TcpSegment)>,
     ) -> ListenerOutput {
         let mut out = ListenerOutput::default();
         let mut pending: Vec<PendingSolution> = Vec::new();
         let mut deferred_syns = 0usize;
         for (src, seg) in segments {
-            // Fresh SYNs are offered to the batched *issuance* pipeline —
-            // the issue-side twin of the solution batching below. The
-            // two runs never coexist: collecting one kind always flushes
-            // the other first, so replies, events, counters, and ISN
-            // order all match sequential processing exactly.
+            // The issuance run (fresh SYNs the policy answers
+            // statelessly) and the solution run never coexist:
+            // collecting one kind always flushes the other first.
             if seg.flags.contains(TcpFlags::SYN)
                 && !seg.flags.contains(TcpFlags::ACK)
                 && !seg.flags.contains(TcpFlags::RST)
@@ -930,31 +926,13 @@ impl<B: HashBackend> Listener<B> {
                 // change the queue pressure this SYN is judged under.
                 self.flush_solutions(now, &mut pending, &mut out);
                 let flow = FlowKey {
-                    addr: *src,
+                    addr: src,
                     port: seg.src_port,
                 };
-                if !self.core.knows_flow(&flow) && !self.policy.has_flow_state(&flow) {
-                    let pressure = QueuePressure {
-                        listen_full: self.core.listen_q.len() >= self.core.cfg.backlog,
-                        accept_full: self.core.accept_q.len() >= self.core.cfg.accept_backlog,
-                    };
-                    if self
-                        .policy
-                        .classify_syn(&mut self.core, now, flow, seg, pressure)
-                        == SynClass::Deferred
-                    {
-                        // `handle_syn` counts a SYN before anything
-                        // else; the deferred path must match.
-                        self.core.stats.syns_received += 1;
-                        deferred_syns += 1;
-                        continue;
-                    }
-                }
-                self.flush_issues(now, &mut deferred_syns, &mut out);
-                self.segment_inner(now, *src, seg, &mut out);
+                self.handle_syn(now, flow, seg, &mut deferred_syns, &mut out);
                 continue;
             }
-            match self.collect_solution(*src, seg, pending.len(), &mut out) {
+            match self.collect_solution(src, seg, pending.len(), &mut out) {
                 AckClass::Pending(p) => {
                     self.flush_issues(now, &mut deferred_syns, &mut out);
                     pending.push(p);
@@ -963,7 +941,7 @@ impl<B: HashBackend> Listener<B> {
                 AckClass::Sequential => {
                     self.flush_issues(now, &mut deferred_syns, &mut out);
                     self.flush_solutions(now, &mut pending, &mut out);
-                    self.segment_inner(now, *src, seg, &mut out);
+                    self.segment_inner(now, src, seg, &mut out);
                 }
             }
         }
@@ -973,8 +951,8 @@ impl<B: HashBackend> Listener<B> {
         out
     }
 
-    /// Emits every reply the policy deferred via `classify_syn`, in
-    /// arrival order, with the issuance crypto batched.
+    /// Emits every reply the policy deferred from `on_syn`, in arrival
+    /// order, with the issuance crypto batched.
     fn flush_issues(&mut self, now: SimTime, deferred_syns: &mut usize, out: &mut ListenerOutput) {
         if *deferred_syns == 0 {
             return;
@@ -993,7 +971,7 @@ impl<B: HashBackend> Listener<B> {
         }
     }
 
-    /// Sequential (non-batched) processing of one segment.
+    /// One-by-one processing of a segment that belongs to neither run.
     fn segment_inner(
         &mut self,
         now: SimTime,
@@ -1011,9 +989,7 @@ impl<B: HashBackend> Listener<B> {
             self.core.accepted.remove(&flow);
             return;
         }
-        if seg.flags.contains(TcpFlags::SYN) && !seg.flags.contains(TcpFlags::ACK) {
-            self.handle_syn(now, flow, seg, out);
-        } else if seg.flags.contains(TcpFlags::ACK) {
+        if seg.flags.contains(TcpFlags::ACK) {
             self.handle_ack(now, flow, seg, out);
         }
     }
@@ -1108,33 +1084,39 @@ impl<B: HashBackend> Listener<B> {
         out
     }
 
+    /// A SYN segment (`ACK`/`RST` clear), reached only from the step
+    /// loop. The listener flushes the deferred issuance run before it
+    /// acts on anything but another deferral, so no reply — and no
+    /// server ISN — is ever issued ahead of those of SYNs that arrived
+    /// earlier.
     fn handle_syn(
         &mut self,
         now: SimTime,
         flow: FlowKey,
         seg: &TcpSegment,
+        deferred_syns: &mut usize,
         out: &mut ListenerOutput,
     ) {
         self.core.stats.syns_received += 1;
         let now_ts = puzzle_clock(now);
-        let client_ts = seg.timestamps().map(|(tsval, _)| tsval);
 
-        // Duplicate SYN for an existing half-open: retransmit the SYN-ACK.
-        if let Some(half) = self.core.listen_q.get(&flow) {
-            let reply = build_synack(
-                self.core.cfg.port,
-                flow,
-                half.server_isn,
-                half.client_isn,
-                half.mss,
-                (self.core.cfg.use_timestamps && half.has_ts).then_some((now_ts, half.peer_tsval)),
-            );
-            self.core.stats.synacks_sent += 1;
-            out.replies.push((flow.addr, reply));
-            return;
-        }
-        // SYN for an already-established flow: ignore.
-        if self.core.in_accept_q.contains_key(&flow) || self.core.accepted.contains_key(&flow) {
+        if self.core.knows_flow(&flow) {
+            self.flush_issues(now, deferred_syns, out);
+            // Duplicate SYN for an existing half-open: retransmit the
+            // SYN-ACK. SYN for an already-established flow: ignore.
+            if let Some(half) = self.core.listen_q.get(&flow) {
+                let reply = build_synack(
+                    self.core.cfg.port,
+                    flow,
+                    half.server_isn,
+                    half.client_isn,
+                    half.mss,
+                    (self.core.cfg.use_timestamps && half.has_ts)
+                        .then_some((now_ts, half.peer_tsval)),
+                );
+                self.core.stats.synacks_sent += 1;
+                out.replies.push((flow.addr, reply));
+            }
             return;
         }
 
@@ -1147,11 +1129,18 @@ impl<B: HashBackend> Listener<B> {
             listen_full: self.core.listen_q.len() >= self.core.cfg.backlog,
             accept_full: self.core.accept_q.len() >= self.core.cfg.accept_backlog,
         };
-        match self
-            .policy
-            .on_syn(&mut self.core, now, flow, seg, pressure, out)
-        {
-            SynDisposition::Handled => return,
+        let disposition = self.policy.on_syn(&mut self.core, now, flow, seg, pressure);
+        if disposition != SynDisposition::Deferred {
+            self.flush_issues(now, deferred_syns, out);
+        }
+        match disposition {
+            SynDisposition::Deferred => {
+                *deferred_syns += 1;
+                return;
+            }
+            SynDisposition::Inline => {
+                return self.policy.answer_syn(&mut self.core, now, flow, seg, out);
+            }
             SynDisposition::Decline => {
                 self.core.stats.syns_dropped += 1;
                 out.events.push(ListenerEvent::SynDropped { flow });
@@ -1161,6 +1150,7 @@ impl<B: HashBackend> Listener<B> {
         }
 
         // Room in the listen queue: ordinary stateful handshake.
+        let client_ts = seg.timestamps().map(|(tsval, _)| tsval);
         let server_isn = self.core.next_server_isn(flow);
         let mss = seg.mss().unwrap_or(536).min(self.core.cfg.mss);
         let half = HalfOpen {
@@ -1247,6 +1237,11 @@ impl<B: HashBackend> Listener<B> {
             }
         }
     }
+}
+
+/// The server ISN a mint's HMAC tag stands for.
+fn isn_from_tag(tag: &Digest) -> u32 {
+    u32::from_be_bytes([tag[0], tag[1], tag[2], tag[3]])
 }
 
 /// Builds a stateful SYN-ACK with the standard option set.
@@ -2531,12 +2526,12 @@ mod tests {
         assert_eq!(a.issue_hashes, 1);
     }
 
-    /// The batched issuance pipeline is semantics-preserving: a mixed
-    /// burst (stateful admissions, defended SYNs, a duplicate SYN, an
-    /// RST, a forged data ACK) fed through `on_segments` produces the
-    /// same replies, events, counters (including `issue_hashes`), and
-    /// queue depths as per-segment sequential processing, for every
-    /// built-in policy and the stacked compositions.
+    /// Batch boundaries are unobservable: a mixed burst (stateful
+    /// admissions, defended SYNs, a duplicate SYN, an RST, a forged data
+    /// ACK) fed as one `on_segments` call produces the same replies,
+    /// events, counters (including `issue_hashes`), and queue depths as
+    /// one `on_segment` call per segment — the same loop split two
+    /// ways — for every built-in policy and the stacked compositions.
     #[test]
     fn batched_syn_issuance_matches_sequential() {
         let policies = vec![

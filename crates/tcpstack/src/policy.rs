@@ -9,13 +9,15 @@
 //! The phases, in the order a flow traverses them:
 //!
 //! 1. [`on_syn`](DefensePolicy::on_syn) — every fresh SYN, with the
-//!    listener's queue pressure. The policy admits it to the stateful
-//!    handshake, absorbs it (challenge / cookie / reduced-state cache
-//!    entry), or declines (the listener then drops it). In the batched
-//!    segment loop, [`classify_syn`](DefensePolicy::classify_syn) runs
-//!    first and may *defer* the SYN into a pending issuance run whose
-//!    crypto is batched at the next
-//!    [`issue_flush`](DefensePolicy::issue_flush).
+//!    listener's queue pressure. The policy *decides* and nothing else:
+//!    admit it to the stateful handshake, decline (the listener then
+//!    drops it), *defer* it into the pending issuance run — a challenge
+//!    or cookie whose crypto is batched at the next
+//!    [`issue_flush`](DefensePolicy::issue_flush), a run of one when the
+//!    listener is stepped segment by segment — or answer it at once
+//!    through [`answer_syn`](DefensePolicy::answer_syn) (the
+//!    reduced-state cache entry, which is per-flow state and cannot
+//!    wait).
 //! 2. [`classify_ack`](DefensePolicy::classify_ack) — solution-bearing
 //!    ACKs from unknown flows are offered for the listener's *batched*
 //!    verification pipeline before sequential processing.
@@ -81,34 +83,20 @@ impl QueuePressure {
 }
 
 /// What a policy decided for a fresh SYN.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SynDisposition {
     /// Proceed with the ordinary stateful handshake (listen-queue entry).
     Admit,
-    /// The policy consumed the SYN (challenge, cookie, cache entry, …).
-    Handled,
     /// The policy declines under pressure; the next stacked layer gets
     /// the SYN, or — at the end of the stack — the listener drops it.
     Decline,
-}
-
-/// How a policy routed a fresh SYN offered to the batched issuance
-/// pipeline (see [`DefensePolicy::classify_syn`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SynClass {
-    /// This policy's [`on_syn`](DefensePolicy::on_syn) would return
-    /// [`SynDisposition::Admit`] or [`SynDisposition::Decline`] for this
-    /// SYN with no side effects visible outside the policy — no reply
-    /// emitted, no ISN minted. A [`Stacked`] composition keeps
-    /// consulting later layers.
-    Pass,
-    /// No promise: run the ordinary sequential `on_syn` path (the
-    /// default, so policies unaware of batching keep exact semantics).
-    Inline,
     /// The policy queued the SYN internally; the next
-    /// [`issue_flush`](DefensePolicy::issue_flush) will emit exactly
-    /// the one reply its `on_syn` would have emitted.
+    /// [`issue_flush`](DefensePolicy::issue_flush) emits its one
+    /// stateless reply (challenge / cookie).
     Deferred,
+    /// The policy answers this SYN with per-flow state of its own: the
+    /// listener calls [`answer_syn`](DefensePolicy::answer_syn) next.
+    Inline,
 }
 
 /// What a policy decided for a stateless ACK.
@@ -182,8 +170,18 @@ pub trait DefensePolicy<B: HashBackend>: fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// A fresh SYN arrived (no existing half-open/established state).
-    /// `pressure` reports queue fullness at arrival. The default admits
+    /// `pressure` reports queue fullness at arrival. Returns the
+    /// decision and does nothing the listener could observe: no reply,
+    /// no ISN mint, no counter — whatever the decision costs happens in
+    /// [`issue_flush`](DefensePolicy::issue_flush) or
+    /// [`answer_syn`](DefensePolicy::answer_syn). The default admits
     /// under no pressure and declines otherwise (stock drop behaviour).
+    ///
+    /// The listener emits a [`SynDisposition::Deferred`] run's replies
+    /// before it acts on any other disposition, before any non-SYN
+    /// segment is processed and before the step call returns, so
+    /// replies, events, counters, and ISN order do not depend on how a
+    /// segment sequence is split into calls.
     fn on_syn(
         &mut self,
         core: &mut ListenerCore<B>,
@@ -191,9 +189,8 @@ pub trait DefensePolicy<B: HashBackend>: fmt::Debug {
         flow: FlowKey,
         seg: &TcpSegment,
         pressure: QueuePressure,
-        out: &mut ListenerOutput,
     ) -> SynDisposition {
-        let _ = (core, now, flow, seg, out);
+        let _ = (core, now, flow, seg);
         if pressure.any() {
             SynDisposition::Decline
         } else {
@@ -201,38 +198,26 @@ pub trait DefensePolicy<B: HashBackend>: fmt::Debug {
         }
     }
 
-    /// Classifies a fresh SYN for the *batched issuance* pipeline — the
-    /// issue-side twin of [`classify_ack`](DefensePolicy::classify_ack).
-    /// Only called from the batched segment loop, for SYN segments
-    /// (`SYN` set, `ACK`/`RST` clear) with no listener or policy state
-    /// for the flow, after any pending solution run has been flushed
-    /// (so `pressure` reflects the queues this SYN would actually see).
-    ///
-    /// Returning [`SynClass::Deferred`] means the policy queued the SYN
-    /// and will emit its stateless reply (challenge / cookie) at the
-    /// next [`issue_flush`](DefensePolicy::issue_flush), where the
-    /// cryptographic work is batched across the whole deferred run.
-    /// The listener guarantees a flush before any non-deferred segment
-    /// is processed and before the batch call returns, so deferral is
-    /// invisible outside the batch boundary: replies, events, counters,
-    /// and ISN order all match sequential processing exactly.
-    fn classify_syn(
+    /// Answers the SYN this policy's [`on_syn`](DefensePolicy::on_syn)
+    /// just returned [`SynDisposition::Inline`] for (any deferred run
+    /// has been flushed in between). Never called otherwise, so the
+    /// default does nothing.
+    fn answer_syn(
         &mut self,
         core: &mut ListenerCore<B>,
         now: SimTime,
         flow: FlowKey,
         seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        let _ = (core, now, flow, seg, pressure);
-        SynClass::Inline
+        out: &mut ListenerOutput,
+    ) {
+        let _ = (core, now, flow, seg, out);
     }
 
-    /// Emits every reply deferred by
-    /// [`classify_syn`](DefensePolicy::classify_syn), in arrival order,
-    /// with the issuance crypto (pre-images, cookie MACs, server-ISN
-    /// mints) staged through the backend's batch interface. The default
-    /// does nothing (nothing is ever deferred by default).
+    /// Emits the reply of every SYN [`on_syn`](DefensePolicy::on_syn)
+    /// deferred, in arrival order, with the issuance crypto (pre-images,
+    /// cookie MACs, server-ISN mints) staged through the backend's batch
+    /// interface. The default does nothing (nothing is ever deferred by
+    /// default).
     fn issue_flush(&mut self, core: &mut ListenerCore<B>, now: SimTime, out: &mut ListenerOutput) {
         let _ = (core, now, out);
     }
@@ -436,9 +421,9 @@ impl<B: HashBackend + 'static> PolicyBuilder<B> {
                 .join("+")
         );
         PolicyBuilder::new(label, move |secret, backend| {
-            Box::new(Stacked {
-                layers: layers.iter().map(|l| l.build(secret, backend)).collect(),
-            })
+            Box::new(Stacked::new(
+                layers.iter().map(|l| l.build(secret, backend)).collect(),
+            ))
         })
     }
 
@@ -461,18 +446,6 @@ impl<B: HashBackend> DefensePolicy<B> for NoDefense {
     fn name(&self) -> &'static str {
         "none"
     }
-
-    fn classify_syn(
-        &mut self,
-        _core: &mut ListenerCore<B>,
-        _now: SimTime,
-        _flow: FlowKey,
-        _seg: &TcpSegment,
-        _pressure: QueuePressure,
-    ) -> SynClass {
-        // The stock disposition is a pure admit/decline decision.
-        SynClass::Pass
-    }
 }
 
 /// SYN cookies (§2.1 baseline): a stateless cookie SYN-ACK when the
@@ -483,7 +456,7 @@ impl<B: HashBackend> DefensePolicy<B> for NoDefense {
 #[derive(Debug)]
 pub struct SynCookieDefense {
     codec: SynCookieCodec,
-    /// SYNs deferred by `classify_syn` awaiting the next `issue_flush`:
+    /// SYNs deferred by `on_syn` awaiting the next `issue_flush`:
     /// `(flow, client ISN, client MSS, client TS echo)`.
     pending: Vec<(FlowKey, u32, u16, Option<u32>)>,
     /// Reusable batched-MAC staging (message arena plus the inner-pass
@@ -514,12 +487,11 @@ impl<B: HashBackend> DefensePolicy<B> for SynCookieDefense {
 
     fn on_syn(
         &mut self,
-        core: &mut ListenerCore<B>,
-        now: SimTime,
+        _core: &mut ListenerCore<B>,
+        _now: SimTime,
         flow: FlowKey,
         seg: &TcpSegment,
         pressure: QueuePressure,
-        out: &mut ListenerOutput,
     ) -> SynDisposition {
         if !pressure.any() {
             return SynDisposition::Admit;
@@ -527,58 +499,13 @@ impl<B: HashBackend> DefensePolicy<B> for SynCookieDefense {
         if pressure.accept_full {
             return SynDisposition::Decline;
         }
-        let cfg = core.config();
-        let (local_addr, port, adv_mss, use_ts) =
-            (cfg.local_addr, cfg.port, cfg.mss, cfg.use_timestamps);
-        let now_ts = puzzle_clock(now);
-        let client_ts = seg.timestamps().map(|(tsval, _)| tsval);
-        let counter = cookie_counter(now);
-        let isn = self.codec.encode(
-            flow.addr,
-            flow.port,
-            local_addr,
-            port,
-            seg.seq,
-            seg.mss().unwrap_or(536),
-            counter,
-        );
-        // Cookies cannot carry window scale; MSS is quantized into the
-        // cookie itself. The SYN-ACK advertises the server MSS as usual.
-        let mut b = SegmentBuilder::new(port, flow.port)
-            .seq(isn)
-            .ack_num(seg.seq.wrapping_add(1))
-            .flags(TcpFlags::SYN | TcpFlags::ACK)
-            .mss(adv_mss);
-        if let (true, Some(tsval)) = (use_ts, client_ts) {
-            b = b.timestamps(now_ts, tsval);
-        }
-        let stats = core.stats_mut();
-        stats.cookies_sent += 1;
-        stats.issue_hashes += 2; // the cookie MAC's two HMAC passes
-        out.replies.push((flow.addr, b.build()));
-        SynDisposition::Handled
-    }
-
-    fn classify_syn(
-        &mut self,
-        _core: &mut ListenerCore<B>,
-        _now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        if !pressure.any() || pressure.accept_full {
-            // Pure admit (no pressure) or pure decline (accept-queue
-            // overflow): no cookie crypto either way.
-            return SynClass::Pass;
-        }
         self.pending.push((
             flow,
             seg.seq,
             seg.mss().unwrap_or(536),
             seg.timestamps().map(|(tsval, _)| tsval),
         ));
-        SynClass::Deferred
+        SynDisposition::Deferred
     }
 
     fn issue_flush(&mut self, core: &mut ListenerCore<B>, now: SimTime, out: &mut ListenerOutput) {
@@ -629,6 +556,9 @@ impl<B: HashBackend> DefensePolicy<B> for SynCookieDefense {
         for (&(flow, client_isn, mss, client_ts), tag) in self.pending.iter().zip(&self.tags) {
             let (mss_idx, _) = SynCookieCodec::quantize_mss(mss);
             let isn = SynCookieCodec::cookie_from_tag(tag, counter, mss_idx);
+            // Cookies cannot carry window scale; MSS is quantized into
+            // the cookie itself. The SYN-ACK advertises the server MSS
+            // as usual.
             let mut b = SegmentBuilder::new(port, flow.port)
                 .seq(isn)
                 .ack_num(client_isn.wrapping_add(1))
@@ -714,21 +644,33 @@ impl<B: HashBackend> DefensePolicy<B> for SynCacheDefense {
 
     fn on_syn(
         &mut self,
+        _core: &mut ListenerCore<B>,
+        _now: SimTime,
+        _flow: FlowKey,
+        _seg: &TcpSegment,
+        pressure: QueuePressure,
+    ) -> SynDisposition {
+        if !pressure.any() {
+            SynDisposition::Admit
+        } else if pressure.accept_full || self.cache.len() >= self.cfg.capacity {
+            SynDisposition::Decline
+        } else {
+            // Spill into the reduced-state cache while it has room (and
+            // the accept path could still admit a completion). The entry
+            // is per-flow state and its SYN-ACK takes the next ISN, so
+            // it is made at once, not at a flush.
+            SynDisposition::Inline
+        }
+    }
+
+    fn answer_syn(
+        &mut self,
         core: &mut ListenerCore<B>,
         now: SimTime,
         flow: FlowKey,
         seg: &TcpSegment,
-        pressure: QueuePressure,
         out: &mut ListenerOutput,
-    ) -> SynDisposition {
-        if !pressure.any() {
-            return SynDisposition::Admit;
-        }
-        // Spill into the reduced-state cache while it has room (and the
-        // accept path could still admit a completion).
-        if pressure.accept_full || self.cache.len() >= self.cfg.capacity {
-            return SynDisposition::Decline;
-        }
+    ) {
         let cfg = core.config();
         let (port, adv_mss, use_ts) = (cfg.port, cfg.mss, cfg.use_timestamps);
         let now_ts = puzzle_clock(now);
@@ -746,25 +688,6 @@ impl<B: HashBackend> DefensePolicy<B> for SynCacheDefense {
         );
         core.stats_mut().synacks_sent += 1;
         out.replies.push((flow.addr, reply));
-        SynDisposition::Handled
-    }
-
-    fn classify_syn(
-        &mut self,
-        _core: &mut ListenerCore<B>,
-        _now: SimTime,
-        _flow: FlowKey,
-        _seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        if !pressure.any() || pressure.accept_full || self.cache.len() >= self.cfg.capacity {
-            // Pure admit or pure decline.
-            SynClass::Pass
-        } else {
-            // The spill path inserts per-flow cache state and mints an
-            // ISN: keep it on the sequential path.
-            SynClass::Inline
-        }
     }
 
     fn on_ack(
@@ -908,7 +831,7 @@ pub struct PuzzleDefense<B: HashBackend> {
     /// Reusable batch-verification buffers: after warm-up, flushing a
     /// run of solution ACKs allocates nothing.
     scratch: BatchScratch,
-    /// SYNs deferred by `classify_syn` awaiting the next `issue_flush`.
+    /// SYNs deferred by `on_syn` awaiting the next `issue_flush`.
     /// Drained within every segment batch — never per-flow state that
     /// outlives a batch.
     pending: Vec<ChallengedSyn>,
@@ -921,8 +844,7 @@ pub struct PuzzleDefense<B: HashBackend> {
     isns: Vec<u32>,
     /// Window source only: the window whose nonce derivation has been
     /// charged to `issue_hashes` (the accounting analogue of the
-    /// verifier's nonce memo), advanced identically by the sequential
-    /// and batched issue paths.
+    /// verifier's nonce memo).
     charged_window: Option<u32>,
     /// Window source only: the window at whose rollover the replay
     /// cache was last purged.
@@ -1013,8 +935,8 @@ impl<B: HashBackend> PuzzleDefense<B> {
         self.verifier.window_prf().is_some()
     }
 
-    /// The controller head `on_syn` and `classify_syn` share. Puzzles
-    /// engage when *either* queue is under pressure — §5 explicitly
+    /// The controller head of `on_syn`. Puzzles engage when *either*
+    /// queue is under pressure — §5 explicitly
     /// modifies the listening socket "to send a challenge when the
     /// protection is in effect, even if the accept queue overflows" —
     /// and stay engaged for the hysteresis hold after the last observed
@@ -1030,9 +952,8 @@ impl<B: HashBackend> PuzzleDefense<B> {
     /// What a challenge issued at `now_ts` carries in its timestamp
     /// field: the clock reading itself, or the window index. On the
     /// window source this also charges the per-window nonce HMAC (two
-    /// passes over the cached midstates) exactly once per window,
-    /// whichever issue path first touches the window — so the
-    /// sequential and batched paths evolve `issue_hashes` identically.
+    /// passes over the cached midstates) exactly once per window, at the
+    /// first flush that touches the window.
     fn issue_stamp(&mut self, core: &mut ListenerCore<B>, now_ts: u32) -> u32 {
         let Some(prf) = self.verifier.window_prf() else {
             return now_ts;
@@ -1045,9 +966,9 @@ impl<B: HashBackend> PuzzleDefense<B> {
         window
     }
 
-    /// The challenge SYN-ACK both issue paths emit. `stamp` travels as
-    /// `tsval` when the TS option is in play (clients echo it as
-    /// `tsecr`), embedded in the challenge block otherwise.
+    /// The challenge SYN-ACK. `stamp` travels as `tsval` when the TS
+    /// option is in play (clients echo it as `tsecr`), embedded in the
+    /// challenge block otherwise.
     fn challenge_reply(
         &self,
         cfg: &ListenerConfig,
@@ -1256,57 +1177,20 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
 
     fn on_syn(
         &mut self,
-        core: &mut ListenerCore<B>,
+        _core: &mut ListenerCore<B>,
         now: SimTime,
         flow: FlowKey,
         seg: &TcpSegment,
         pressure: QueuePressure,
-        out: &mut ListenerOutput,
     ) -> SynDisposition {
         if !self.engaged(now, pressure) {
             return SynDisposition::Admit;
         }
         // Stateless challenge, even if the accept queue is also
         // overflowing (§5).
-        let now_ts = puzzle_clock(now);
-        let stamp = self.issue_stamp(core, now_ts);
-        let tuple = core.tuple_for(flow, seg.seq);
-        let (difficulty, bits) = (self.cfg.difficulty, self.cfg.preimage_bits);
-        let challenge = if self.windowed() {
-            self.verifier
-                .issue_windowed(&tuple, now_ts, difficulty, bits)
-        } else {
-            self.verifier.issue(&tuple, now_ts, difficulty, bits)
-        }
-        .expect("validated at config time");
-        let server_isn = core.next_server_isn(flow);
-        let syn = (flow, seg.seq, seg.timestamps().map(|(tsval, _)| tsval));
-        let reply =
-            self.challenge_reply(core.config(), syn, server_isn, stamp, challenge.preimage());
-        let stats = core.stats_mut();
-        stats.challenges_sent += 1;
-        stats.issue_hashes += 1; // the pre-image; the ISN mint charges itself
-        out.replies.push((flow.addr, reply));
-        SynDisposition::Handled
-    }
-
-    fn classify_syn(
-        &mut self,
-        _core: &mut ListenerCore<B>,
-        now: SimTime,
-        flow: FlowKey,
-        seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        // Same controller head as `on_syn`: the hysteresis latch must
-        // advance even for deferred SYNs.
-        if !self.engaged(now, pressure) {
-            // Pure admit (protection not in effect).
-            return SynClass::Pass;
-        }
         self.pending
             .push((flow, seg.seq, seg.timestamps().map(|(tsval, _)| tsval)));
-        SynClass::Deferred
+        SynDisposition::Deferred
     }
 
     fn issue_flush(&mut self, core: &mut ListenerCore<B>, now: SimTime, out: &mut ListenerOutput) {
@@ -1322,8 +1206,7 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
             self.flows.push(flow);
         }
         // One batched sweep for every pre-image, then one for the
-        // server ISNs (arrival order, so the ISN counter sequence is
-        // identical to sequential processing).
+        // server ISNs (arrival order).
         let (difficulty, bits) = (self.cfg.difficulty, self.cfg.preimage_bits);
         let windowed = self.windowed();
         let scratch = &mut self.issue_scratch;
@@ -1338,6 +1221,7 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         core.next_server_isn_batch(&self.flows, &mut self.isns);
         let stats = core.stats_mut();
         stats.challenges_sent += self.pending.len() as u64;
+        // The pre-images; the ISN mint charges itself.
         stats.issue_hashes += self.pending.len() as u64;
         for (i, &syn) in self.pending.iter().enumerate() {
             let preimage = self.issue_scratch.preimage(i);
@@ -1391,10 +1275,11 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         out: &mut ListenerOutput,
     ) -> AckDisposition {
         if let Some(sol) = seg.solution() {
-            // Solution ACKs for unknown flows are normally diverted into
-            // the batch pipeline before reaching this point; this branch
-            // keeps the sequential path self-contained by running the
-            // same gate + chokepoint for one request.
+            // Solution ACKs from stateless flows are diverted into the
+            // batch pipeline before reaching this point. This one's flow
+            // holds another layer's state (a SYN-cache entry keeps it
+            // out of the collector, and a stack offers the ACK to that
+            // layer first): same gate + chokepoint, for one request.
             if let Some((request, mss)) = self.gate_and_parse(core, flow, seg, sol, 0, out) {
                 let mut verdicts = core.take_verdict_buf();
                 self.verify_requests(core, puzzle_clock(now), &[request], &mut verdicts);
@@ -1521,12 +1406,18 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
 #[derive(Debug)]
 pub struct Stacked<B: HashBackend> {
     layers: Vec<Box<dyn DefensePolicy<B> + Send>>,
+    /// The layer whose `on_syn` absorbed the latest SYN — the one an
+    /// `Inline` disposition's `answer_syn` goes to.
+    absorbing: usize,
 }
 
 impl<B: HashBackend> Stacked<B> {
     /// Composes `layers`, consulted in order.
     pub fn new(layers: Vec<Box<dyn DefensePolicy<B> + Send>>) -> Self {
-        Stacked { layers }
+        Stacked {
+            layers,
+            absorbing: 0,
+        }
     }
 }
 
@@ -1542,7 +1433,6 @@ impl<B: HashBackend> DefensePolicy<B> for Stacked<B> {
         flow: FlowKey,
         seg: &TcpSegment,
         pressure: QueuePressure,
-        out: &mut ListenerOutput,
     ) -> SynDisposition {
         // Every layer sees the SYN until one absorbs it: an early layer's
         // Admit must not stop a later latched layer (e.g. puzzles in
@@ -1555,36 +1445,28 @@ impl<B: HashBackend> DefensePolicy<B> for Stacked<B> {
         } else {
             SynDisposition::Admit
         };
-        for layer in &mut self.layers {
-            match layer.on_syn(core, now, flow, seg, pressure, out) {
-                SynDisposition::Handled => return SynDisposition::Handled,
-                SynDisposition::Decline => disposition = SynDisposition::Decline,
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            match layer.on_syn(core, now, flow, seg, pressure) {
                 SynDisposition::Admit => {}
+                SynDisposition::Decline => disposition = SynDisposition::Decline,
+                absorbed => {
+                    self.absorbing = i;
+                    return absorbed;
+                }
             }
         }
         disposition
     }
 
-    fn classify_syn(
+    fn answer_syn(
         &mut self,
         core: &mut ListenerCore<B>,
         now: SimTime,
         flow: FlowKey,
         seg: &TcpSegment,
-        pressure: QueuePressure,
-    ) -> SynClass {
-        // Mirror of the `on_syn` fold: a layer classifying `Pass` has
-        // promised its `on_syn` is a side-effect-free admit/decline, so
-        // later layers may still claim the SYN. The first layer that
-        // defers (its `on_syn` would have absorbed the SYN) or makes no
-        // promise short-circuits, exactly like `Handled` does above.
-        for layer in &mut self.layers {
-            match layer.classify_syn(core, now, flow, seg, pressure) {
-                SynClass::Pass => continue,
-                other => return other,
-            }
-        }
-        SynClass::Pass
+        out: &mut ListenerOutput,
+    ) {
+        self.layers[self.absorbing].answer_syn(core, now, flow, seg, out);
     }
 
     fn issue_flush(&mut self, core: &mut ListenerCore<B>, now: SimTime, out: &mut ListenerOutput) {

@@ -2,15 +2,13 @@
 //! to that layer installed bare — same replies, same events, same
 //! counters, same queue depths — under arbitrary interleavings of SYNs,
 //! handshake completions, forged ACKs, real puzzle solutions, data,
-//! RSTs, polls, and accepts, for every built-in policy — and so does
-//! feeding each segment through the batched pipeline (`on_segments`)
-//! instead of the sequential one (`on_segment`).
+//! RSTs, polls, and accepts, for every built-in policy.
 //!
-//! The first is the composition law that makes `Stacked` safe to use as
-//! the default composition operator: wrapping adds nothing and removes
-//! nothing. The second is the contract that makes batching a throughput
-//! optimisation, never a behaviour change (`proptest_issue.rs` checks it
-//! over whole bursts). Both run over all five puzzle builders — the
+//! This is the composition law that makes `Stacked` safe to use as the
+//! default composition operator: wrapping adds nothing and removes
+//! nothing. (`on_segment` is a batch of one through the loop behind
+//! `on_segments`; that batch boundaries change nothing is
+//! `proptest_issue.rs`.) It runs over all five puzzle builders — the
 //! cells of `PuzzleDefense`'s nonce source × difficulty source table —
 //! which must also hold no per-flow state and report `PolicyStats` as
 //! the three separate policies they replaced did.
@@ -125,8 +123,6 @@ fn policy_under_test(idx: usize) -> PolicyBuilder<puzzle_crypto::ScalarBackend> 
 /// into a transcript string.
 struct Driver {
     listener: Listener,
-    /// Feed each segment as a batch of one through `on_segments`.
-    batched: bool,
     now: SimTime,
     /// Per client: ISN of its last SYN.
     last_isn: [u32; CLIENTS],
@@ -136,7 +132,7 @@ struct Driver {
 }
 
 impl Driver {
-    fn new(policy: PolicyBuilder<puzzle_crypto::ScalarBackend>, batched: bool) -> Self {
+    fn new(policy: PolicyBuilder<puzzle_crypto::ScalarBackend>) -> Self {
         let mut cfg = ListenerConfig::new(SERVER_IP, 80);
         cfg.backlog = 1;
         cfg.accept_backlog = 2;
@@ -147,7 +143,6 @@ impl Driver {
                 puzzle_crypto::ScalarBackend,
                 &policy,
             ),
-            batched,
             now: SimTime::ZERO,
             last_isn: [0; CLIENTS],
             last_reply: [None, None, None],
@@ -156,11 +151,7 @@ impl Driver {
     }
 
     fn feed(&mut self, client: usize, seg: TcpSegment) {
-        let out = if self.batched {
-            self.listener.on_segments(self.now, &[(CLIENT_IP, seg)])
-        } else {
-            self.listener.on_segment(self.now, CLIENT_IP, &seg)
-        };
+        let out = self.listener.on_segment(self.now, CLIENT_IP, &seg);
         for (dst, reply) in &out.replies {
             let _ = writeln!(self.log, "reply {dst} {reply:?}");
             // Track the latest handshake reply per client for
@@ -322,12 +313,12 @@ impl Driver {
     }
 }
 
-fn transcript(idx: usize, stacked: bool, batched: bool, actions: &[Action]) -> String {
+fn transcript(idx: usize, stacked: bool, actions: &[Action]) -> String {
     let mut policy = policy_under_test(idx);
     if stacked {
         policy = PolicyBuilder::stacked(vec![policy]);
     }
-    let mut d = Driver::new(policy, batched);
+    let mut d = Driver::new(policy);
     for a in actions {
         d.step(a);
         if idx >= FIRST_PUZZLE {
@@ -340,15 +331,14 @@ fn transcript(idx: usize, stacked: bool, batched: bool, actions: &[Action]) -> S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `Stacked([X])` ≡ `X` and batched ≡ sequential for every built-in
-    /// policy, over arbitrary protocol scripts.
+    /// `Stacked([X])` ≡ `X` for every built-in policy, over arbitrary
+    /// protocol scripts.
     #[test]
-    fn stacking_one_layer_and_batching_change_nothing(
+    fn stacking_one_layer_changes_nothing(
         policy_idx in 0usize..POLICIES,
         actions in prop::collection::vec(arb_action(), 1..50),
     ) {
-        let bare = transcript(policy_idx, false, false, &actions);
-        prop_assert_eq!(&bare, &transcript(policy_idx, true, false, &actions));
-        prop_assert_eq!(&bare, &transcript(policy_idx, false, true, &actions));
+        let bare = transcript(policy_idx, false, &actions);
+        prop_assert_eq!(&bare, &transcript(policy_idx, true, &actions));
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! * **No thread leaks** — constructing a persistent facade spawns
 //!   exactly one worker per shard, and dropping it joins every one
-//!   (counted via `/proc/self/status` on Linux, where CI runs; other
-//!   platforms fall back to asserting drop completes).
+//!   (counted by thread name via `/proc/self/task` on Linux, where CI
+//!   runs; other platforms fall back to asserting drop completes).
 //! * **Steady state is spawn-free** — thousands of interleaved
 //!   `on_segments` / `poll` / `set_difficulty` calls never change the
-//!   process thread count.
+//!   number of worker threads.
 //! * **Interleaving stress** — a persistent 4-shard facade and its
 //!   in-line twin stay segment-for-segment identical through a long
 //!   deterministic interleaving of batches, polls, difficulty retunes,
@@ -23,7 +23,7 @@ use tcpstack::{
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 
-/// Serializes the tests in this binary: they count process threads, so
+/// Serializes the tests in this binary: they count worker threads, so
 /// another test's live worker pool would skew the arithmetic. (Poisoned
 /// locks are fine — the guard only orders execution.)
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -32,17 +32,22 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Current thread count of this process. On Linux, read from
-/// `/proc/self/status` (`Threads:\t<n>`); elsewhere `None`, and the
-/// callers degrade to lifecycle-only assertions.
-fn thread_count() -> Option<usize> {
+/// How many of this process's threads are shard workers — the pool
+/// names them `shard-worker-{k}`. Counting every thread instead would
+/// also count libtest's own, one of which may still be exiting from the
+/// previous test. On Linux, read from `/proc/self/task/*/comm`;
+/// elsewhere `None`, and the callers degrade to lifecycle-only
+/// assertions.
+fn worker_thread_count() -> Option<usize> {
     #[cfg(target_os = "linux")]
     {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        status
-            .lines()
-            .find_map(|line| line.strip_prefix("Threads:"))
-            .and_then(|rest| rest.trim().parse().ok())
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+        Some(
+            tasks
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.starts_with("shard-worker-"))
+                .count(),
+        )
     }
     #[cfg(not(target_os = "linux"))]
     {
@@ -97,27 +102,29 @@ fn client(i: usize) -> Ipv4Addr {
 #[test]
 fn drop_joins_every_worker_thread() {
     let _guard = serial();
-    let before = thread_count();
+    let before = worker_thread_count();
     {
         let mut l = facade(4, ShardPipeline::Persistent);
         assert!(l.is_persistent());
-        if let (Some(before), Some(during)) = (before, thread_count()) {
+        // Exercise the workers before counting and dropping: a thread
+        // names itself as it starts, and `poll` returns only once every
+        // worker has run its job — so the count sees all of them, and
+        // the join path sees threads that have actually run jobs (not
+        // just parked since spawn).
+        let batch: Vec<_> = (0..32)
+            .map(|i| syn(client(i), 2000 + i as u16, 1))
+            .collect();
+        l.on_segments(SimTime::ZERO, &batch);
+        l.poll(SimTime::from_millis(10));
+        if let (Some(before), Some(during)) = (before, worker_thread_count()) {
             assert_eq!(
                 during,
                 before + 4,
                 "persistent facade spawns exactly one worker per shard"
             );
         }
-        // Exercise the workers before dropping so the join path sees
-        // threads that have actually run jobs (not just parked since
-        // spawn).
-        let batch: Vec<_> = (0..32)
-            .map(|i| syn(client(i), 2000 + i as u16, 1))
-            .collect();
-        l.on_segments(SimTime::ZERO, &batch);
-        l.poll(SimTime::from_millis(10));
     }
-    if let (Some(before), Some(after)) = (before, thread_count()) {
+    if let (Some(before), Some(after)) = (before, worker_thread_count()) {
         assert_eq!(
             after, before,
             "drop must join every worker (no thread leak)"
@@ -136,7 +143,7 @@ fn steady_state_never_spawns_threads() {
     // lazily touches.
     l.on_segments(SimTime::ZERO, &batch);
     l.poll(SimTime::from_millis(1));
-    let baseline = thread_count();
+    let baseline = worker_thread_count();
     for step in 0u64..2_000 {
         let now = SimTime::from_millis(2 + step);
         match step % 4 {
@@ -152,7 +159,7 @@ fn steady_state_never_spawns_threads() {
             }
         }
     }
-    if let (Some(baseline), Some(after)) = (baseline, thread_count()) {
+    if let (Some(baseline), Some(after)) = (baseline, worker_thread_count()) {
         assert_eq!(
             after, baseline,
             "steady-state stepping must create zero threads"

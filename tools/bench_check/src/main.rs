@@ -480,10 +480,10 @@ mod tests {
 
     #[test]
     fn issuance_guard_shape() {
-        // The CI issuance guard (`stack/syn_challenge_batch:256:3.0`):
-        // 350000 / 100000 = 3.5x over the scalar per-SYN baseline leg.
+        // The CI issuance guard (`stack/syn_challenge_batch:256:2.0`):
+        // 350000 / 100000 = 3.5x over the software-SHA one-SYN-flush leg.
         let entries = parse_report(SAMPLE);
-        let req = parse_scaling_spec("stack/syn_challenge_batch:256:3.0").expect("valid spec");
+        let req = parse_scaling_spec("stack/syn_challenge_batch:256:2.0").expect("valid spec");
         assert_eq!(check_scaling(&entries, &req), Ok(true));
         let too_strict = parse_scaling_spec("stack/syn_challenge_batch:256:4.0").expect("valid");
         assert_eq!(check_scaling(&entries, &too_strict), Ok(false));
