@@ -307,6 +307,29 @@ impl Solution {
         &self.proofs
     }
 
+    /// Unwraps the sub-solutions.
+    pub fn into_proofs(self) -> Vec<Vec<u8>> {
+        self.proofs
+    }
+
+    /// Overwrites the sub-solutions with `proofs`, reusing both the list
+    /// and every per-proof buffer it already holds — a recycled request
+    /// slot takes a fresh solution without allocating.
+    pub fn refill<'a>(&mut self, proofs: impl IntoIterator<Item = &'a [u8]>) {
+        let mut n = 0;
+        for proof in proofs {
+            match self.proofs.get_mut(n) {
+                Some(slot) => {
+                    slot.clear();
+                    slot.extend_from_slice(proof);
+                }
+                None => self.proofs.push(proof.to_vec()),
+            }
+            n += 1;
+        }
+        self.proofs.truncate(n);
+    }
+
     /// Number of sub-solutions carried.
     pub fn len(&self) -> usize {
         self.proofs.len()

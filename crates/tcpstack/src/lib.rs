@@ -54,13 +54,12 @@ pub use client::{ClientConfig, ClientConn, ClientEvent, ClientState};
 pub use cookie::SynCookieCodec;
 pub use listener::{
     oracle_proof, oracle_proof_with, puzzle_clock, FlowKey, Listener, ListenerConfig, ListenerCore,
-    ListenerEvent, ListenerStats, PuzzleConfig, SynCacheConfig, VerifyMode,
+    ListenerEvent, ListenerStats, PuzzleConfig, SynCacheConfig, VerifyMode, TCP_MIN_SND_MSS,
 };
 pub use options::{ChallengeOption, OptionDecodeError, SolutionOption, TcpOption};
 pub use policy::{
-    AckClass, AckDisposition, DefensePolicy, NoDefense, PendingSolution, PolicyBuilder,
-    PolicyStats, PuzzleDefense, QueuePressure, Stacked, SynCacheDefense, SynCookieDefense,
-    SynDisposition,
+    AckClass, AckDisposition, DefensePolicy, NoDefense, PolicyBuilder, PolicyStats, PuzzleDefense,
+    QueuePressure, SolutionRun, Stacked, SynCacheDefense, SynCookieDefense, SynDisposition,
 };
 pub use segment::{
     SegmentBuilder, SegmentDecodeError, TcpFlags, TcpSegment, MAX_OPTIONS_LEN, TCP_HEADER_LEN,

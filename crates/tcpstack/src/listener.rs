@@ -36,12 +36,17 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use crate::policy::{AckClass, AckDisposition, PendingSolution, PolicyBuilder, PolicyStats};
+use crate::policy::{AckClass, AckDisposition, PolicyBuilder, PolicyStats, SolutionRun};
 use crate::policy::{DefensePolicy, QueuePressure, SynDisposition};
 use crate::segment::{SegmentBuilder, TcpFlags, TcpSegment};
 use netsim::{SimDuration, SimTime};
-use puzzle_core::{AlgoId, ConnectionTuple, Difficulty, ServerSecret, VerifyError, VerifyRequest};
+use puzzle_core::{AlgoId, ConnectionTuple, Difficulty, ServerSecret, VerifyError};
 use puzzle_crypto::{Digest, HashBackend, HmacKeySchedule, MessageArena, ScalarBackend};
+
+/// The smallest MSS the server sends with, whatever the peer offered —
+/// 48 bytes, the floor Linux enforces since CVE-2019-11479. Without a
+/// floor a client-chosen MSS of 0 stalls `send_data`'s chunk loop.
+pub const TCP_MIN_SND_MSS: u16 = 48;
 
 /// Converts simulator time to the puzzle/second clock used in challenge
 /// timestamps and expiry checks.
@@ -461,6 +466,8 @@ pub struct ListenerCore<B: HashBackend> {
     pub(crate) isn_counter: u64,
     /// Reusable verdict staging for the verification paths.
     pub(crate) verdict_buf: Vec<Result<(), VerifyError>>,
+    /// Reusable staging for solution ACKs awaiting batched verification.
+    pub(crate) solutions: SolutionRun,
     /// HMAC key schedule for ISN minting, expanded once from the secret
     /// so the mint never re-keys per call.
     pub(crate) isn_schedule: HmacKeySchedule,
@@ -513,6 +520,53 @@ impl<B: HashBackend> ListenerCore<B> {
     pub fn put_verdict_buf(&mut self, mut buf: Vec<Result<(), VerifyError>>) {
         buf.clear();
         self.verdict_buf = buf;
+    }
+
+    /// Takes the solution-staging run (return it with
+    /// [`ListenerCore::put_solution_run`]; its slots keep their buffers
+    /// across steps, so steady-state staging stays allocation-free).
+    pub fn take_solution_run(&mut self) -> SolutionRun {
+        std::mem::take(&mut self.solutions)
+    }
+
+    /// Returns the solution-staging run after use, as it is: a run still
+    /// being collected stays staged.
+    pub fn put_solution_run(&mut self, run: SolutionRun) {
+        self.solutions = run;
+    }
+
+    /// Applies one verdict per staged solution, in arrival order —
+    /// establishment on success, the rejection event otherwise — and
+    /// ends the run. Drains `verdicts`.
+    pub fn settle_solutions(
+        &mut self,
+        run: &mut SolutionRun,
+        verdicts: &mut Vec<Result<(), VerifyError>>,
+        out: &mut ListenerOutput,
+    ) {
+        for (staged, verdict) in run.staged().iter().zip(verdicts.drain(..)) {
+            match verdict {
+                Ok(()) => self.finish_establish(
+                    staged.flow,
+                    staged.ack,
+                    staged.mss,
+                    EstablishedVia::Puzzle,
+                    &staged.payload,
+                    staged.fin,
+                    out,
+                ),
+                Err(reason) => self.note_rejection(staged.flow, reason, out),
+            }
+        }
+        run.clear();
+    }
+
+    /// The MSS the server will use towards a peer that offered `offered`:
+    /// at most the server's own [`ListenerConfig::mss`] and at least
+    /// [`TCP_MIN_SND_MSS`], so no client can make `send_data` emit
+    /// empty segments. Every MSS-admission site goes through here.
+    pub fn admit_mss(&self, offered: u16) -> u16 {
+        offered.min(self.cfg.mss).max(TCP_MIN_SND_MSS)
     }
 
     /// Whether the listener itself holds state for `flow` (accepted,
@@ -737,6 +791,7 @@ impl<B: HashBackend + 'static> Listener<B> {
                 stats: ListenerStats::default(),
                 isn_counter: 0,
                 verdict_buf: Vec::new(),
+                solutions: SolutionRun::default(),
                 isn_schedule,
                 isn_arena: MessageArena::new(),
                 isn_inner: Vec::new(),
@@ -816,7 +871,9 @@ impl<B: HashBackend> Listener<B> {
             return Vec::new();
         };
         let mut out = Vec::new();
-        let mss = conn.mss as usize;
+        // `admit_mss` already floors every connection's MSS; flooring
+        // again here keeps the loop finite whatever `conn.mss` holds.
+        let mss = conn.mss.max(TCP_MIN_SND_MSS) as usize;
         let mut remaining = len;
         loop {
             let chunk = remaining.min(mss);
@@ -912,7 +969,6 @@ impl<B: HashBackend> Listener<B> {
         segments: impl Iterator<Item = (Ipv4Addr, &'a TcpSegment)>,
     ) -> ListenerOutput {
         let mut out = ListenerOutput::default();
-        let mut pending: Vec<PendingSolution> = Vec::new();
         let mut deferred_syns = 0usize;
         for (src, seg) in segments {
             // The issuance run (fresh SYNs the policy answers
@@ -924,7 +980,7 @@ impl<B: HashBackend> Listener<B> {
             {
                 // Pending solutions must land first: establishments
                 // change the queue pressure this SYN is judged under.
-                self.flush_solutions(now, &mut pending, &mut out);
+                self.flush_solutions(now, &mut out);
                 let flow = FlowKey {
                     addr: src,
                     port: seg.src_port,
@@ -932,21 +988,18 @@ impl<B: HashBackend> Listener<B> {
                 self.handle_syn(now, flow, seg, &mut deferred_syns, &mut out);
                 continue;
             }
-            match self.collect_solution(src, seg, pending.len(), &mut out) {
-                AckClass::Pending(p) => {
-                    self.flush_issues(now, &mut deferred_syns, &mut out);
-                    pending.push(p);
-                }
+            match self.collect_solution(src, seg, &mut out) {
+                AckClass::Pending => self.flush_issues(now, &mut deferred_syns, &mut out),
                 AckClass::Handled => {}
                 AckClass::Sequential => {
                     self.flush_issues(now, &mut deferred_syns, &mut out);
-                    self.flush_solutions(now, &mut pending, &mut out);
+                    self.flush_solutions(now, &mut out);
                     self.segment_inner(now, src, seg, &mut out);
                 }
             }
         }
         self.flush_issues(now, &mut deferred_syns, &mut out);
-        self.flush_solutions(now, &mut pending, &mut out);
+        self.flush_solutions(now, &mut out);
         self.notify_established(&out);
         out
     }
@@ -997,12 +1050,11 @@ impl<B: HashBackend> Listener<B> {
     /// Routes a segment into the batched verification pipeline when it is
     /// a solution-bearing ACK for a flow with no listener or policy
     /// state; the policy performs the paper's check-queue-before-verify
-    /// gating and option parsing.
+    /// gating and option parsing, staging it in the core's run.
     fn collect_solution(
         &mut self,
         src: Ipv4Addr,
         seg: &TcpSegment,
-        pending_count: usize,
         out: &mut ListenerOutput,
     ) -> AckClass {
         if !seg.flags.contains(TcpFlags::ACK) || seg.flags.contains(TcpFlags::RST) {
@@ -1018,60 +1070,42 @@ impl<B: HashBackend> Listener<B> {
         if self.core.knows_flow(&flow) || self.policy.has_flow_state(&flow) {
             return AckClass::Sequential;
         }
-        self.policy
-            .classify_ack(&mut self.core, flow, seg, pending_count, out)
+        let mut run = self.core.take_solution_run();
+        let class = self
+            .policy
+            .classify_ack(&mut self.core, flow, seg, &mut run, out);
+        self.core.put_solution_run(run);
+        class
     }
 
-    /// Verifies and applies a pending run of solution ACKs.
-    fn flush_solutions(
-        &mut self,
-        now: SimTime,
-        pending: &mut Vec<PendingSolution>,
-        out: &mut ListenerOutput,
-    ) {
-        if pending.is_empty() {
+    /// Verifies and applies the staged run of solution ACKs.
+    fn flush_solutions(&mut self, now: SimTime, out: &mut ListenerOutput) {
+        if self.core.solutions.is_empty() {
             return;
         }
-        // Split each pending entry into its verification request and the
-        // establishment metadata, so the batch borrows the requests
-        // without re-cloning proof vectors.
-        let mut requests: Vec<VerifyRequest> = Vec::with_capacity(pending.len());
-        let mut meta: Vec<(FlowKey, u32, u16, Vec<u8>, bool)> = Vec::with_capacity(pending.len());
-        for p in pending.drain(..) {
-            requests.push(p.request);
-            meta.push((p.flow, p.ack, p.mss, p.payload, p.fin));
-        }
-        // Stage verdicts in the reusable buffer (taken out of the core so
-        // the establishment loop below can borrow it mutably).
+        // Run and verdicts are taken out of the core so the policy and
+        // the establishment loop can borrow it mutably.
+        let mut run = self.core.take_solution_run();
         let mut verdicts = self.core.take_verdict_buf();
-        let handled =
-            self.policy
-                .verify(&mut self.core, puzzle_clock(now), &requests, &mut verdicts);
+        let handled = self.policy.verify(
+            &mut self.core,
+            puzzle_clock(now),
+            run.requests(),
+            &mut verdicts,
+        );
         if !handled {
-            // No verifying layer installed: every pending solution is
+            // No verifying layer installed: every staged solution is
             // rejected (unreachable for the built-in policies, which only
             // classify solutions they can verify).
             verdicts.extend(
-                requests
+                run.requests()
                     .iter()
                     .map(|_| Err(VerifyError::Invalid { index: 0 })),
             );
         }
-        for ((flow, ack, mss, payload, fin), verdict) in meta.into_iter().zip(verdicts.drain(..)) {
-            match verdict {
-                Ok(()) => self.core.finish_establish(
-                    flow,
-                    ack,
-                    mss.min(self.core.cfg.mss),
-                    EstablishedVia::Puzzle,
-                    &payload,
-                    fin,
-                    out,
-                ),
-                Err(reason) => self.core.note_rejection(flow, reason, out),
-            }
-        }
+        self.core.settle_solutions(&mut run, &mut verdicts, out);
         self.core.put_verdict_buf(verdicts);
+        self.core.put_solution_run(run);
     }
 
     /// Drives retransmissions, half-open expiry, and the policy's
@@ -1152,7 +1186,7 @@ impl<B: HashBackend> Listener<B> {
         // Room in the listen queue: ordinary stateful handshake.
         let client_ts = seg.timestamps().map(|(tsval, _)| tsval);
         let server_isn = self.core.next_server_isn(flow);
-        let mss = seg.mss().unwrap_or(536).min(self.core.cfg.mss);
+        let mss = self.core.admit_mss(seg.mss().unwrap_or(536));
         let half = HalfOpen {
             client_isn: seg.seq,
             server_isn,
@@ -2188,6 +2222,63 @@ mod tests {
         assert!(!segs[0].1.flags.contains(TcpFlags::FIN));
         // Connection closed: further sends produce nothing.
         assert!(l.send_data(flow, 10, false).is_empty());
+    }
+
+    /// `send_data(flow, 100, true)` on a thread, failing the test if it
+    /// has not returned within five seconds (an unfloored MSS of 0 used
+    /// to spin there forever).
+    fn send_data_within_deadline(mut l: Listener, flow: FlowKey) -> Vec<(Ipv4Addr, TcpSegment)> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(l.send_data(flow, 100, true));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("send_data did not return within 5 s")
+    }
+
+    fn assert_sent_at_min_mss(segs: &[(Ipv4Addr, TcpSegment)]) {
+        let lens: Vec<usize> = segs.iter().map(|(_, s)| s.payload.len()).collect();
+        assert_eq!(lens, [48, 48, 4], "100 B at the 48-byte floor");
+        assert!(segs[2].1.flags.contains(TcpFlags::FIN));
+    }
+
+    #[test]
+    fn stateful_mss_zero_is_floored_and_send_data_terminates() {
+        let mut l = listener(PolicyBuilder::none(), 4, 4);
+        let syn = SegmentBuilder::new(1000, 80)
+            .seq(500)
+            .flags(TcpFlags::SYN)
+            .mss(0)
+            .build();
+        let synack = l.on_segment(t(0), CLIENT_IP, &syn).replies[0].1.clone();
+        let ack = SegmentBuilder::new(1000, 80)
+            .seq(501)
+            .ack_num(synack.seq.wrapping_add(1))
+            .flags(TcpFlags::ACK)
+            .build();
+        l.on_segment(t(0), CLIENT_IP, &ack);
+        let flow = l.accept().expect("established");
+        assert_sent_at_min_mss(&send_data_within_deadline(l, flow));
+    }
+
+    #[test]
+    fn puzzle_mss_zero_is_floored_and_send_data_terminates() {
+        let mut l = puzzle_listener(1, 4, VerifyMode::Real);
+        l.on_segment(t(0), CLIENT_IP, &syn(1000, 1)); // fills backlog
+        let challenged = l.on_segment(t(0), CLIENT_IP, &syn(2000, 500)).replies[0]
+            .1
+            .clone();
+        let mut ack = solve_and_ack(&mut l, t(1), 2000, 500, &challenged);
+        for option in &mut ack.options {
+            if let TcpOption::Solution(sol) = option {
+                sol.mss = 0; // the re-sent MSS the solution block carries
+            }
+        }
+        l.on_segment(t(1), CLIENT_IP, &ack);
+        assert_eq!(l.stats().established_puzzle, 1);
+        let flow = l.accept().expect("established");
+        assert_eq!(flow.port, 2000);
+        assert_sent_at_min_mss(&send_data_within_deadline(l, flow));
     }
 
     #[test]

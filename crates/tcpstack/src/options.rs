@@ -8,12 +8,12 @@
 //! the re-sent MSS and window-scale plus an opaque run of `k` solutions
 //! (and optionally an embedded timestamp) that only the server, which
 //! knows its current `(k, l)` configuration, can split; see
-//! [`SolutionOption::split`].
+//! [`SolutionOption::split`] / [`SolutionOption::split_into`].
 
 use std::error::Error;
 use std::fmt;
 
-use puzzle_core::AlgoId;
+use puzzle_core::{AlgoId, Solution};
 
 /// Option kind for a puzzle challenge (unassigned opcode used by the
 /// paper, Figure 4).
@@ -125,6 +125,8 @@ impl SolutionOption {
     /// what rejects cross-algo solutions at the wire: a prefix-puzzle
     /// block presented to a collide-configured server splits to the
     /// wrong total length and errors here, before any verification.
+    /// A wrapper over [`SolutionOption::split_into`] with a fresh
+    /// [`Solution`].
     ///
     /// # Errors
     ///
@@ -137,6 +139,27 @@ impl SolutionOption {
         algo: AlgoId,
         embedded_ts: bool,
     ) -> Result<(Vec<Vec<u8>>, Option<u32>), OptionDecodeError> {
+        let mut solution = Solution::new(Vec::with_capacity(k as usize));
+        let ts = self.split_into(k, l_bits, algo, embedded_ts, &mut solution)?;
+        Ok((solution.into_proofs(), ts))
+    }
+
+    /// [`SolutionOption::split`] into `solution` in place
+    /// ([`Solution::refill`]), returning the embedded timestamp: the
+    /// server's verification staging re-splits into recycled request
+    /// slots. On error `solution` is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// As [`SolutionOption::split`].
+    pub fn split_into(
+        &self,
+        k: u8,
+        l_bits: u16,
+        algo: AlgoId,
+        embedded_ts: bool,
+        solution: &mut Solution,
+    ) -> Result<Option<u32>, OptionDecodeError> {
         let sol_len = algo.proof_len(l_bits as usize / 8);
         let expect = k as usize * sol_len + if embedded_ts { 4 } else { 0 };
         if !l_bits.is_multiple_of(8) || self.data.len() != expect {
@@ -145,15 +168,11 @@ impl SolutionOption {
                 len: self.data.len(),
             });
         }
-        let mut proofs = Vec::with_capacity(k as usize);
-        for i in 0..k as usize {
-            proofs.push(self.data[i * sol_len..(i + 1) * sol_len].to_vec());
-        }
-        let ts = embedded_ts.then(|| {
+        solution.refill((0..k as usize).map(|i| &self.data[i * sol_len..(i + 1) * sol_len]));
+        Ok(embedded_ts.then(|| {
             let t = &self.data[self.data.len() - 4..];
             u32::from_be_bytes([t[0], t[1], t[2], t[3]])
-        });
-        Ok((proofs, ts))
+        }))
     }
 
     fn value_len(&self) -> usize {
@@ -263,13 +282,33 @@ impl TcpOption {
 
     /// Decodes an options area produced by [`TcpOption::encode_all`] (or a
     /// real TCP stack). NOPs are skipped; EOL stops parsing; unknown kinds
-    /// are preserved as [`TcpOption::Unknown`].
+    /// are preserved as [`TcpOption::Unknown`]. A wrapper over
+    /// [`TcpOption::decode_all_into`] with a fresh list.
     ///
     /// # Errors
     ///
     /// Returns [`OptionDecodeError`] on truncation or impossible lengths.
-    pub fn decode_all(mut bytes: &[u8]) -> Result<Vec<TcpOption>, OptionDecodeError> {
+    pub fn decode_all(bytes: &[u8]) -> Result<Vec<TcpOption>, OptionDecodeError> {
         let mut out = Vec::new();
+        Self::decode_all_into(bytes, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes an options area over `out`, reusing its storage: the list
+    /// keeps its capacity, and an option decoded into a slot that held a
+    /// challenge, solution or unknown option refills that option's byte
+    /// buffer instead of allocating one. On success `out` holds exactly
+    /// the decoded options; on error its contents are unspecified (but
+    /// valid), so a recycled slot never needs clearing first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptionDecodeError`] on truncation or impossible lengths.
+    pub fn decode_all_into(
+        mut bytes: &[u8],
+        out: &mut Vec<TcpOption>,
+    ) -> Result<(), OptionDecodeError> {
+        let mut n = 0;
         while let Some((&kind, rest)) = bytes.split_first() {
             match kind {
                 0 => break,        // EOL
@@ -282,17 +321,48 @@ impl TcpOption {
                     if len < 2 || len > bytes.len() {
                         return Err(OptionDecodeError::Truncated);
                     }
-                    let value = &bytes[2..len];
-                    out.push(Self::decode_one(kind, value)?);
+                    let buf = out
+                        .get_mut(n)
+                        .map(TcpOption::take_bytes)
+                        .unwrap_or_default();
+                    let option = Self::decode_one(kind, &bytes[2..len], buf)?;
+                    match out.get_mut(n) {
+                        Some(slot) => *slot = option,
+                        None => out.push(option),
+                    }
+                    n += 1;
                     bytes = &bytes[len..];
                 }
             }
         }
-        Ok(out)
+        out.truncate(n);
+        Ok(())
     }
 
-    fn decode_one(kind: u8, value: &[u8]) -> Result<TcpOption, OptionDecodeError> {
+    /// Moves this option's byte buffer out (empty for the fixed-size
+    /// kinds), so a re-decode can refill it.
+    fn take_bytes(&mut self) -> Vec<u8> {
+        match self {
+            TcpOption::Challenge(c) => std::mem::take(&mut c.preimage),
+            TcpOption::Solution(s) => std::mem::take(&mut s.data),
+            TcpOption::Unknown { data, .. } => std::mem::take(data),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Decodes one option's value; a byte-carrying kind stores its bytes
+    /// in `buf` (overwritten).
+    fn decode_one(
+        kind: u8,
+        value: &[u8],
+        mut buf: Vec<u8>,
+    ) -> Result<TcpOption, OptionDecodeError> {
         let bad = |len: usize| OptionDecodeError::BadLength { kind, len };
+        let mut fill = |bytes: &[u8]| {
+            buf.clear();
+            buf.extend_from_slice(bytes);
+            std::mem::take(&mut buf)
+        };
         Ok(match kind {
             2 => {
                 if value.len() != 2 {
@@ -336,17 +406,16 @@ impl TcpOption {
                 // The lengths are pairwise distinct, so the block stays
                 // self-describing; an *unknown* algo byte is a decode
                 // error, not a guess.
-                let (preimage, timestamp, algo) = match rest.len().checked_sub(pre_len) {
-                    Some(0) => (rest.to_vec(), None, AlgoId::Prefix),
+                let (timestamp, algo) = match rest.len().checked_sub(pre_len) {
+                    Some(0) => (None, AlgoId::Prefix),
                     Some(1) => {
                         let algo =
                             AlgoId::from_wire(rest[pre_len]).ok_or_else(|| bad(value.len() + 2))?;
-                        (rest[..pre_len].to_vec(), None, algo)
+                        (None, algo)
                     }
                     Some(4) => {
                         let t = &rest[pre_len..];
                         (
-                            rest[..pre_len].to_vec(),
                             Some(u32::from_be_bytes([t[0], t[1], t[2], t[3]])),
                             AlgoId::Prefix,
                         )
@@ -355,18 +424,14 @@ impl TcpOption {
                         let t = &rest[pre_len..pre_len + 4];
                         let algo = AlgoId::from_wire(rest[pre_len + 4])
                             .ok_or_else(|| bad(value.len() + 2))?;
-                        (
-                            rest[..pre_len].to_vec(),
-                            Some(u32::from_be_bytes([t[0], t[1], t[2], t[3]])),
-                            algo,
-                        )
+                        (Some(u32::from_be_bytes([t[0], t[1], t[2], t[3]])), algo)
                     }
                     _ => return Err(bad(value.len() + 2)),
                 };
                 TcpOption::Challenge(ChallengeOption {
                     k,
                     m,
-                    preimage,
+                    preimage: fill(&rest[..pre_len]),
                     timestamp,
                     algo,
                 })
@@ -378,12 +443,12 @@ impl TcpOption {
                 TcpOption::Solution(SolutionOption {
                     mss: u16::from_be_bytes([value[0], value[1]]),
                     wscale: value[2],
-                    data: value[3..].to_vec(),
+                    data: fill(&value[3..]),
                 })
             }
             _ => TcpOption::Unknown {
                 kind,
-                data: value.to_vec(),
+                data: fill(value),
             },
         })
     }

@@ -109,22 +109,93 @@ pub enum AckDisposition {
     Unclaimed,
 }
 
-/// A solution-bearing ACK parsed and queued for the next batched
-/// verification flush.
+/// The solution-bearing ACKs collected for the next batched
+/// verification, in arrival order: verification-request slots beside
+/// establishment slots, the first [`SolutionRun::len`] of each live.
+/// Ending a run keeps every slot and its buffers (each request's proof
+/// vectors, each ACK's payload), so a steady stream of solution ACKs is
+/// staged without allocating. The run lives in [`ListenerCore`], taken
+/// and returned around each use like the verdict buffer.
+#[derive(Debug, Default)]
+pub struct SolutionRun {
+    requests: Vec<VerifyRequest>,
+    staged: Vec<StagedAck>,
+    live: usize,
+}
+
+/// What establishing a verified solution ACK needs besides its request.
 #[derive(Debug)]
-pub struct PendingSolution {
-    /// The client flow.
-    pub flow: FlowKey,
+pub(crate) struct StagedAck {
+    pub(crate) flow: FlowKey,
     /// ACK number (the server's next sequence number on establish).
-    pub ack: u32,
-    /// MSS echoed in the solution option.
-    pub mss: u16,
-    /// The decoded verification request.
-    pub request: VerifyRequest,
+    pub(crate) ack: u32,
+    /// The admitted MSS (the solution option's re-sent value, clamped).
+    pub(crate) mss: u16,
     /// Segment payload, delivered on establishment.
-    pub payload: Vec<u8>,
-    /// Whether FIN was set.
-    pub fin: bool,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) fin: bool,
+}
+
+impl SolutionRun {
+    /// Number of ACKs staged.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The staged verification requests, in arrival order.
+    pub fn requests(&self) -> &[VerifyRequest] {
+        &self.requests[..self.live]
+    }
+
+    pub(crate) fn staged(&self) -> &[StagedAck] {
+        &self.staged[..self.live]
+    }
+
+    /// The next free request slot, set to `tuple` and `params`; its
+    /// solution still holds whatever the slot carried last, for the
+    /// caller to overwrite. The slot joins the run only at
+    /// [`SolutionRun::commit`].
+    pub fn slot(&mut self, tuple: ConnectionTuple, params: ChallengeParams) -> &mut VerifyRequest {
+        if self.live == self.requests.len() {
+            self.requests
+                .push((tuple, params, Solution::new(Vec::new())));
+        }
+        let slot = &mut self.requests[self.live];
+        (slot.0, slot.1) = (tuple, params);
+        slot
+    }
+
+    /// Adds the slot last returned by [`SolutionRun::slot`] to the run as
+    /// `seg`'s request, establishing `flow` with `mss` if it verifies.
+    pub fn commit(&mut self, flow: FlowKey, seg: &TcpSegment, mss: u16) {
+        debug_assert!(self.live < self.requests.len(), "commit without a slot");
+        let (ack, fin) = (seg.ack, seg.flags.contains(TcpFlags::FIN));
+        match self.staged.get_mut(self.live) {
+            Some(s) => {
+                (s.flow, s.ack, s.mss, s.fin) = (flow, ack, mss, fin);
+                s.payload.clear();
+                s.payload.extend_from_slice(&seg.payload);
+            }
+            None => self.staged.push(StagedAck {
+                flow,
+                ack,
+                mss,
+                payload: seg.payload.clone(),
+                fin,
+            }),
+        }
+        self.live += 1;
+    }
+
+    /// Ends the run; every slot is free again, buffers kept.
+    pub fn clear(&mut self) {
+        self.live = 0;
+    }
 }
 
 /// How one inbound segment was routed by the batch collector.
@@ -132,8 +203,9 @@ pub struct PendingSolution {
 pub enum AckClass {
     /// Needs ordinary sequential processing.
     Sequential,
-    /// A solution ACK queued for the next batched verification flush.
-    Pending(PendingSolution),
+    /// A solution ACK staged in the [`SolutionRun`] for the next batched
+    /// verification flush.
+    Pending,
     /// Fully handled during collection (queue-gated or parse-rejected).
     Handled,
 }
@@ -223,19 +295,20 @@ pub trait DefensePolicy<B: HashBackend>: fmt::Debug {
     }
 
     /// Offers a solution-bearing ACK from an unknown flow to the batched
-    /// verification pipeline. `pending` is the number of ACKs already
-    /// collected in the current run (for queue-admission gating). Only
-    /// called for segments with `ACK` set, `RST` clear, a solution
-    /// option present, and no listener or policy state for the flow.
+    /// verification pipeline: [`AckClass::Pending`] means it was staged
+    /// in `run`, whose length is the number of ACKs already collected
+    /// ahead of it (for queue-admission gating). Only called for
+    /// segments with `ACK` set, `RST` clear, a solution option present,
+    /// and no listener or policy state for the flow.
     fn classify_ack(
         &mut self,
         core: &mut ListenerCore<B>,
         flow: FlowKey,
         seg: &TcpSegment,
-        pending: usize,
+        run: &mut SolutionRun,
         out: &mut ListenerOutput,
     ) -> AckClass {
-        let _ = (core, flow, seg, pending, out);
+        let _ = (core, flow, seg, run, out);
         AckClass::Sequential
     }
 
@@ -600,6 +673,7 @@ impl<B: HashBackend> DefensePolicy<B> for SynCookieDefense {
                     out.events.push(ListenerEvent::AcceptOverflow { flow });
                     return AckDisposition::Consumed;
                 }
+                let mss = core.admit_mss(mss);
                 core.finish_establish(
                     flow,
                     seg.ack,
@@ -720,10 +794,11 @@ impl<B: HashBackend> DefensePolicy<B> for SynCacheDefense {
                     // The cache kept no MSS state; fall back to the
                     // minimum like cookies do (the degradation §2.1
                     // mitigations accept).
+                    let mss = core.admit_mss(536);
                     core.finish_establish(
                         flow,
                         server_isn.wrapping_add(1),
-                        536,
+                        mss,
                         EstablishedVia::SynCache,
                         &seg.payload,
                         seg.flags.contains(TcpFlags::FIN),
@@ -996,47 +1071,55 @@ impl<B: HashBackend> PuzzleDefense<B> {
         b.option(TcpOption::Challenge(copt)).build()
     }
 
-    /// The front both solution paths share, with `pending` unverified
-    /// solutions already collected ahead of this one: "first checks if
-    /// the queue is full and only performs the verification procedure
-    /// when there is room" (§5), then decodes the option into a
-    /// [`VerifyRequest`] for the batch engine — the echoed timestamp is
-    /// whatever `issue_stamp` put on the wire — plus the client's
-    /// re-sent MSS. `None` means the ACK was dealt with here (ignored or
-    /// rejected).
+    /// The front both solution paths share, with `run` holding the
+    /// unverified solutions already collected ahead of this one: "first
+    /// checks if the queue is full and only performs the verification
+    /// procedure when there is room" (§5), then decodes the option into
+    /// a [`VerifyRequest`] for the batch engine — the echoed timestamp is
+    /// whatever `issue_stamp` put on the wire — and stages it in `run`
+    /// with the client's re-sent MSS. `false` means the ACK was dealt
+    /// with here (ignored or rejected).
     fn gate_and_parse(
         &self,
         core: &mut ListenerCore<B>,
         flow: FlowKey,
         seg: &TcpSegment,
         sol: &SolutionOption,
-        pending: usize,
+        run: &mut SolutionRun,
         out: &mut ListenerOutput,
-    ) -> Option<(VerifyRequest, u16)> {
-        if core.accept_queue_len() + pending >= core.config().accept_backlog {
+    ) -> bool {
+        if core.accept_queue_len() + run.len() >= core.config().accept_backlog {
             core.stats_mut().acks_ignored_queue_full += 1;
             out.events.push(ListenerEvent::AckIgnoredQueueFull { flow });
-            return None;
+            return false;
         }
         let k = self.cfg.difficulty.k();
         // Timestamp source: TS option echo, else embedded in the block.
         let ts_echo = seg.timestamps().map(|(_, tsecr)| tsecr);
-        let split = sol.split(k, self.cfg.preimage_bits, self.cfg.algo, ts_echo.is_none());
-        let Ok((proofs, embedded_ts)) = split else {
+        let params = ChallengeParams {
+            difficulty: self.cfg.difficulty,
+            preimage_bits: self.cfg.preimage_bits as u8,
+            timestamp: 0,
+        };
+        let (_, params, solution) = run.slot(core.tuple_for(flow, seg.seq.wrapping_sub(1)), params);
+        let split = sol.split_into(
+            k,
+            self.cfg.preimage_bits,
+            self.cfg.algo,
+            ts_echo.is_none(),
+            solution,
+        );
+        let Ok(embedded_ts) = split else {
             let reason = VerifyError::WrongSolutionCount {
                 expected: k,
                 got: 0,
             };
             core.note_rejection(flow, reason, out);
-            return None;
+            return false;
         };
-        let tuple = core.tuple_for(flow, seg.seq.wrapping_sub(1));
-        let params = ChallengeParams {
-            difficulty: self.cfg.difficulty,
-            preimage_bits: self.cfg.preimage_bits as u8,
-            timestamp: ts_echo.or(embedded_ts).unwrap_or(0),
-        };
-        Some(((tuple, params, Solution::new(proofs)), sol.mss))
+        params.timestamp = ts_echo.or(embedded_ts).unwrap_or(0);
+        run.commit(flow, seg, core.admit_mss(sol.mss));
+        true
     }
 
     /// The verification chokepoint both solution paths share, appending
@@ -1236,22 +1319,16 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
         core: &mut ListenerCore<B>,
         flow: FlowKey,
         seg: &TcpSegment,
-        pending: usize,
+        run: &mut SolutionRun,
         out: &mut ListenerOutput,
     ) -> AckClass {
         let Some(sol) = seg.solution() else {
             return AckClass::Sequential;
         };
-        match self.gate_and_parse(core, flow, seg, sol, pending, out) {
-            Some((request, mss)) => AckClass::Pending(PendingSolution {
-                flow,
-                ack: seg.ack,
-                mss,
-                request,
-                payload: seg.payload.clone(),
-                fin: seg.flags.contains(TcpFlags::FIN),
-            }),
-            None => AckClass::Handled,
+        if self.gate_and_parse(core, flow, seg, sol, run, out) {
+            AckClass::Pending
+        } else {
+            AckClass::Handled
         }
     }
 
@@ -1279,28 +1356,18 @@ impl<B: HashBackend> DefensePolicy<B> for PuzzleDefense<B> {
             // batch pipeline before reaching this point. This one's flow
             // holds another layer's state (a SYN-cache entry keeps it
             // out of the collector, and a stack offers the ACK to that
-            // layer first): same gate + chokepoint, for one request.
-            if let Some((request, mss)) = self.gate_and_parse(core, flow, seg, sol, 0, out) {
+            // layer first): same gate + chokepoint, for a run of one. The
+            // listener flushes its own run before any segment reaches
+            // `on_ack`, so the run taken here is empty.
+            let mut run = core.take_solution_run();
+            debug_assert!(run.is_empty(), "on_ack with solutions still staged");
+            if self.gate_and_parse(core, flow, seg, sol, &mut run, out) {
                 let mut verdicts = core.take_verdict_buf();
-                self.verify_requests(core, puzzle_clock(now), &[request], &mut verdicts);
-                let verdict = verdicts.pop().expect("one verdict per request");
+                self.verify_requests(core, puzzle_clock(now), run.requests(), &mut verdicts);
+                core.settle_solutions(&mut run, &mut verdicts, out);
                 core.put_verdict_buf(verdicts);
-                match verdict {
-                    Ok(()) => {
-                        let mss = mss.min(core.config().mss);
-                        core.finish_establish(
-                            flow,
-                            seg.ack,
-                            mss,
-                            EstablishedVia::Puzzle,
-                            &seg.payload,
-                            seg.flags.contains(TcpFlags::FIN),
-                            out,
-                        );
-                    }
-                    Err(reason) => core.note_rejection(flow, reason, out),
-                }
             }
+            core.put_solution_run(run);
             return AckDisposition::Consumed;
         }
         // ACK without a solution while puzzles are required: the sender
@@ -1484,11 +1551,11 @@ impl<B: HashBackend> DefensePolicy<B> for Stacked<B> {
         core: &mut ListenerCore<B>,
         flow: FlowKey,
         seg: &TcpSegment,
-        pending: usize,
+        run: &mut SolutionRun,
         out: &mut ListenerOutput,
     ) -> AckClass {
         for layer in &mut self.layers {
-            match layer.classify_ack(core, flow, seg, pending, out) {
+            match layer.classify_ack(core, flow, seg, run, out) {
                 AckClass::Sequential => continue,
                 other => return other,
             }

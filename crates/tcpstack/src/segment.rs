@@ -1,5 +1,6 @@
 //! TCP segments: flags, header fields, options, payload — including the
-//! full wire codec ([`TcpSegment::encode`] / [`TcpSegment::decode`]).
+//! full wire codec ([`TcpSegment::encode`] / [`TcpSegment::decode`], and
+//! [`TcpSegment::decode_into`] for recycled slots).
 
 use crate::options::{OptionDecodeError, TcpOption};
 use netsim::Payload;
@@ -88,8 +89,10 @@ impl std::fmt::Display for TcpFlags {
 /// Header fields are kept parsed for speed; the options list round-trips
 /// byte-exactly through [`crate::options`] (property-tested), and
 /// [`TcpSegment::wire_len`] accounts for the encoded size including
-/// padding, so link-level timing and throughput see real bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// padding, so link-level timing and throughput see real bytes. The
+/// default is an empty all-zero segment: a blank slot for
+/// [`TcpSegment::decode_into`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TcpSegment {
     /// Source port.
     pub src_port: u16,
@@ -199,7 +202,8 @@ impl TcpSegment {
     }
 
     /// Decodes a segment produced by [`TcpSegment::encode`] (or a real
-    /// stack). Everything after the header is payload.
+    /// stack). Everything after the header is payload. A wrapper over
+    /// [`TcpSegment::decode_into`] with a fresh segment.
     ///
     /// # Errors
     ///
@@ -207,6 +211,22 @@ impl TcpSegment {
     /// the declared header, the data offset is impossible, or the
     /// options area does not parse.
     pub fn decode(bytes: &[u8]) -> Result<TcpSegment, SegmentDecodeError> {
+        let mut seg = TcpSegment::default();
+        seg.decode_into(bytes)?;
+        Ok(seg)
+    }
+
+    /// Decodes `bytes` over this segment in place, reusing the capacity
+    /// of its `options` and `payload` (and of option byte buffers, see
+    /// [`TcpOption::decode_all_into`]): a recycled ingress slot decodes
+    /// a steady stream of datagrams without allocating. On success the
+    /// segment equals what [`TcpSegment::decode`] returns; on error its
+    /// contents are unspecified (but valid).
+    ///
+    /// # Errors
+    ///
+    /// As [`TcpSegment::decode`].
+    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), SegmentDecodeError> {
         if bytes.len() < TCP_HEADER_LEN {
             return Err(SegmentDecodeError::Truncated);
         }
@@ -219,18 +239,17 @@ impl TcpSegment {
         if bytes.len() < header_len {
             return Err(SegmentDecodeError::Truncated);
         }
-        let options = TcpOption::decode_all(&bytes[TCP_HEADER_LEN..header_len])
+        TcpOption::decode_all_into(&bytes[TCP_HEADER_LEN..header_len], &mut self.options)
             .map_err(SegmentDecodeError::Options)?;
-        Ok(TcpSegment {
-            src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
-            dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-            seq: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            ack: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
-            flags: TcpFlags::from_bits(bytes[13]),
-            window: u16::from_be_bytes([bytes[14], bytes[15]]),
-            options,
-            payload: bytes[header_len..].to_vec(),
-        })
+        self.src_port = u16::from_be_bytes([bytes[0], bytes[1]]);
+        self.dst_port = u16::from_be_bytes([bytes[2], bytes[3]]);
+        self.seq = u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+        self.ack = u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        self.flags = TcpFlags::from_bits(bytes[13]);
+        self.window = u16::from_be_bytes([bytes[14], bytes[15]]);
+        self.payload.clear();
+        self.payload.extend_from_slice(&bytes[header_len..]);
+        Ok(())
     }
 }
 

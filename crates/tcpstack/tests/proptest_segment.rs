@@ -1,6 +1,7 @@
 //! Property tests: the full-segment wire codec round-trips arbitrary
 //! segments — including solution-bearing ACKs and odd option padding —
-//! and rejects every truncation of the header/options area.
+//! rejects every truncation of the header/options area, and decodes the
+//! same over a recycled (dirty) slot as into a fresh one.
 
 use proptest::prelude::*;
 use puzzle_core::AlgoId;
@@ -159,5 +160,112 @@ proptest! {
             let reencoded = mutant.encode();
             prop_assert_eq!(TcpSegment::decode(&reencoded), Ok(mutant));
         }
+    }
+}
+
+/// A recycled ingress slot after it has carried every heap-backed shape:
+/// a challenge, a solution, unknown options and a long payload (the
+/// options need not fit a real header — the slot is only memory).
+fn arb_dirty_slot() -> impl Strategy<Value = TcpSegment> {
+    (
+        arb_segment(),
+        prop::collection::vec(any::<u8>(), 0..16),
+        prop::collection::vec(any::<u8>(), 64..1460),
+    )
+        .prop_map(|(mut seg, junk, payload)| {
+            seg.options = vec![
+                TcpOption::Unknown {
+                    kind: 254,
+                    data: junk.clone(),
+                },
+                TcpOption::Challenge(ChallengeOption {
+                    k: 2,
+                    m: 17,
+                    preimage: junk.clone(),
+                    timestamp: Some(7),
+                    algo: AlgoId::Collide,
+                }),
+                TcpOption::Solution(SolutionOption::build(
+                    536,
+                    3,
+                    std::slice::from_ref(&junk),
+                    Some(5),
+                )),
+                TcpOption::Unknown {
+                    kind: 30,
+                    data: junk,
+                },
+            ];
+            seg.payload = payload;
+            seg
+        })
+}
+
+/// `seg`'s encoding with its options area replaced by `area` (NOP-padded
+/// to a word; the data offset follows).
+fn with_options_area(seg: &TcpSegment, mut area: Vec<u8>) -> Vec<u8> {
+    while !area.len().is_multiple_of(4) {
+        area.push(1);
+    }
+    let mut bare = seg.clone();
+    bare.options.clear();
+    let mut bytes = bare.encode();
+    bytes[12] = (((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4;
+    bytes.splice(TCP_HEADER_LEN..TCP_HEADER_LEN, area);
+    bytes
+}
+
+/// Wire bytes of every outcome class: valid, truncated, an impossible
+/// data offset, an options area that fails only after earlier options
+/// (including byte-carrying ones) decoded, and plain garbage.
+fn arb_wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_segment().prop_map(|seg| seg.encode()),
+        (arb_segment(), any::<u16>()).prop_map(|(seg, cut)| {
+            let mut bytes = seg.encode();
+            bytes.truncate(cut as usize % (bytes.len() + 1));
+            bytes
+        }),
+        (arb_segment(), 0u8..16).prop_map(|(seg, words)| {
+            let mut bytes = seg.encode();
+            bytes[12] = words << 4;
+            bytes
+        }),
+        (
+            arb_segment(),
+            prop::sample::select(vec![
+                vec![2u8, 3, 0],                             // MSS, bad length
+                vec![0xfc, 6, 1, 4, 12, 0],                  // challenge, l % 8 != 0
+                vec![0xfc, 10, 2, 17, 32, 1, 2, 3, 4, 0x7f], // unknown algo byte
+                vec![0xfd, 4, 0, 0],                         // solution too short
+                vec![8],                                     // header cut
+            ]),
+        )
+            .prop_map(|(seg, bad)| {
+                let mut area = Vec::new();
+                TcpOption::Timestamps { tsval: 1, tsecr: 2 }.encode_into(&mut area);
+                TcpOption::Solution(SolutionOption::build(1460, 7, &[vec![9; 4]], None))
+                    .encode_into(&mut area);
+                area.extend_from_slice(&bad);
+                with_options_area(&seg, area)
+            }),
+        prop::collection::vec(any::<u8>(), 0..128),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Slot reuse is unobservable: decoding over a dirty slot yields
+    /// exactly what a fresh decode yields — the same segment, or the
+    /// same error — whatever the slot held before.
+    #[test]
+    fn decode_into_dirty_slot_matches_decode(
+        mut slot in arb_dirty_slot(),
+        bytes in arb_wire_bytes(),
+    ) {
+        let fresh = TcpSegment::decode(&bytes);
+        let reused = slot.decode_into(&bytes).map(|()| slot.clone());
+        prop_assert_eq!(reused, fresh);
     }
 }

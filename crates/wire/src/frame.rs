@@ -71,13 +71,27 @@ pub fn encode_frame(endpoint: Ipv4Addr, seg: &TcpSegment, out: &mut Vec<u8>) {
     seg.encode_into(out);
 }
 
-/// Decodes one datagram into its flow endpoint and segment.
+/// Decodes one datagram into its flow endpoint and segment. A wrapper
+/// over [`decode_frame_into`] with a fresh segment.
 ///
 /// # Errors
 ///
 /// Returns [`FrameError`] on truncation, bad magic/version, or a
 /// segment that does not parse.
 pub fn decode_frame(bytes: &[u8]) -> Result<(Ipv4Addr, TcpSegment), FrameError> {
+    let mut seg = TcpSegment::default();
+    let endpoint = decode_frame_into(bytes, &mut seg)?;
+    Ok((endpoint, seg))
+}
+
+/// Decodes one datagram's segment over `seg` in place
+/// ([`TcpSegment::decode_into`]) and returns the flow endpoint. On error
+/// `seg`'s contents are unspecified (but valid).
+///
+/// # Errors
+///
+/// As [`decode_frame`].
+pub fn decode_frame_into(bytes: &[u8], seg: &mut TcpSegment) -> Result<Ipv4Addr, FrameError> {
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated);
     }
@@ -87,9 +101,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Ipv4Addr, TcpSegment), FrameError> 
     if bytes[1] != FRAME_VERSION {
         return Err(FrameError::BadVersion(bytes[1]));
     }
-    let endpoint = Ipv4Addr::new(bytes[2], bytes[3], bytes[4], bytes[5]);
-    let seg = TcpSegment::decode(&bytes[FRAME_HEADER_LEN..]).map_err(FrameError::Segment)?;
-    Ok((endpoint, seg))
+    seg.decode_into(&bytes[FRAME_HEADER_LEN..])
+        .map_err(FrameError::Segment)?;
+    Ok(Ipv4Addr::new(bytes[2], bytes[3], bytes[4], bytes[5]))
 }
 
 #[cfg(test)]

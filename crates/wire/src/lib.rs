@@ -37,7 +37,9 @@ pub mod load;
 pub mod server;
 
 pub use clock::{ManualClock, WallClock, WireClock};
-pub use frame::{decode_frame, encode_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+pub use frame::{
+    decode_frame, decode_frame_into, encode_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
 pub use load::{LiveLoad, LoadEngine, LoadReport};
 pub use server::{LiveServer, ServerConfig, ServerEngine, WireServerStats};
 

@@ -39,7 +39,7 @@ use tcpstack::{
 };
 
 use crate::clock::WireClock;
-use crate::frame::{decode_frame, encode_frame, MAX_FRAME_LEN};
+use crate::frame::{decode_frame_into, encode_frame, MAX_FRAME_LEN};
 
 /// Most datagrams one wake of [`LiveServer::run`] takes off the socket
 /// before it steps the engine — received, decodable or not, so a
@@ -119,8 +119,11 @@ pub struct ServerEngine {
     /// Flows that became both accepted and pending during this flush,
     /// in the order they did: the serving order. Reused across flushes.
     ready: Vec<FlowKey>,
-    /// Ingress batch, reused across flushes.
+    /// Ingress slots: each datagram is decoded in place over the next
+    /// slot, so slots keep their option and payload buffers across
+    /// flushes. The first `live` hold this flush's batch.
     batch: Vec<(std::net::Ipv4Addr, TcpSegment)>,
+    live: usize,
     /// Egress scratch, reused across replies.
     scratch: Vec<u8>,
     decode_errors: u64,
@@ -153,6 +156,7 @@ impl ServerEngine {
             pending: HashMap::new(),
             ready: Vec::new(),
             batch: Vec::new(),
+            live: 0,
             scratch: Vec::new(),
             decode_errors: 0,
             datagrams_rx: 0,
@@ -161,32 +165,40 @@ impl ServerEngine {
         }
     }
 
-    /// Ingests one raw datagram: frame-decode inline, count failures.
+    /// Ingests one raw datagram: frame-decode inline into the next
+    /// ingress slot, count failures. The slot joins the batch only once
+    /// the decode and the port check succeed; a failed decode leaves it
+    /// free for the next datagram to overwrite.
     pub fn ingest_datagram(&mut self, from: SocketAddr, bytes: &[u8]) {
         self.datagrams_rx += 1;
-        let (endpoint, seg) = match decode_frame(bytes) {
-            Ok(frame) if frame.1.dst_port == self.port => frame,
+        if self.live == self.batch.len() {
+            self.batch
+                .push((std::net::Ipv4Addr::UNSPECIFIED, TcpSegment::default()));
+        }
+        let (endpoint, seg) = &mut self.batch[self.live];
+        match decode_frame_into(bytes, seg) {
+            Ok(addr) if seg.dst_port == self.port => *endpoint = addr,
             // Undecodable, or deliverable nowhere: malformed input alike.
             _ => {
                 self.decode_errors += 1;
                 return;
             }
-        };
+        }
         let flow = FlowKey {
-            addr: endpoint,
+            addr: *endpoint,
             port: seg.src_port,
         };
+        self.live += 1;
         self.peers.insert(flow, from);
-        self.batch.push((endpoint, seg));
     }
 
     /// Steps the listener over the ingress batch, serves application
     /// requests, runs the retransmit poll when due, and emits every
     /// reply as an encoded frame through `sink(peer, frame_bytes)`.
     pub fn flush(&mut self, now: SimTime, sink: &mut dyn FnMut(SocketAddr, &[u8])) {
-        if !self.batch.is_empty() {
-            let out = self.listener.on_segments(now, &self.batch);
-            self.batch.clear();
+        if self.live > 0 {
+            let out = self.listener.on_segments(now, &self.batch[..self.live]);
+            self.live = 0;
             self.transmit(out.replies, sink);
             for ev in out.events {
                 match ev {

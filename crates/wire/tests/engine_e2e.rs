@@ -11,8 +11,10 @@ use hostsim::mix::{self, MixParams};
 use hostsim::SolveStrategy;
 use netsim::{SimDuration, SimTime};
 use puzzle_core::SolveCostModel;
+use tcpstack::{SegmentBuilder, SolutionOption, TcpFlags, TcpOption, TcpSegment, TCP_HEADER_LEN};
 use wire::{
     decode_frame, secret_from_seed, LoadEngine, ManualClock, ServerConfig, ServerEngine, WireClock,
+    FRAME_HEADER_LEN,
 };
 
 const SERVER_ENDPOINT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -197,14 +199,83 @@ fn clients_survive_alongside_syn_flood_under_puzzles() {
     assert!(server.stats().listener.challenges_sent > 0);
 }
 
+/// One recorded engine run: per flush, the clock and the datagrams in;
+/// every reply out, in order.
+struct Recording {
+    script: Vec<(SimTime, Vec<Vec<u8>>)>,
+    replies: Vec<Vec<u8>>,
+    most_served_per_flush: u64,
+}
+
+/// Runs `load` against `server` for `flushes` flushes `step` apart,
+/// feeding replies back to the load, and records both directions.
+fn record(
+    server: &mut ServerEngine,
+    load: &mut LoadEngine,
+    flushes: usize,
+    step: SimDuration,
+) -> Recording {
+    let peer: SocketAddr = "127.0.0.1:5555".parse().unwrap();
+    let mut rec = Recording {
+        script: Vec::new(),
+        replies: Vec::new(),
+        most_served_per_flush: 0,
+    };
+    let clock = ManualClock::new();
+    load.start();
+    for _ in 0..flushes {
+        clock.advance(step);
+        let now = clock.now();
+        let mut ingress = Vec::new();
+        load.advance(now, &mut |bytes| ingress.push(bytes.to_vec()));
+        for frame in &ingress {
+            server.ingest_datagram(peer, frame);
+        }
+        let served_before = server.stats().requests_served;
+        let from = rec.replies.len();
+        server.flush(now, &mut |_, bytes| rec.replies.push(bytes.to_vec()));
+        rec.most_served_per_flush = rec
+            .most_served_per_flush
+            .max(server.stats().requests_served - served_before);
+        for frame in &rec.replies[from..] {
+            let (endpoint, seg) = decode_frame(frame).expect("server emits valid frames");
+            load.deliver(now, endpoint, seg);
+        }
+        rec.script.push((now, ingress));
+    }
+    rec
+}
+
+/// Replays `script` into `server`, following the `i`-th recorded
+/// datagram with `garbage[i % garbage.len()]` (none if `garbage` is
+/// empty), and returns the replies.
+fn replay(
+    server: &mut ServerEngine,
+    script: &[(SimTime, Vec<Vec<u8>>)],
+    garbage: &[Vec<u8>],
+) -> Vec<Vec<u8>> {
+    let peer: SocketAddr = "127.0.0.1:5555".parse().unwrap();
+    let mut replies = Vec::new();
+    let mut i = 0;
+    for (now, ingress) in script {
+        for frame in ingress {
+            server.ingest_datagram(peer, frame);
+            if !garbage.is_empty() {
+                server.ingest_datagram(peer, &garbage[i % garbage.len()]);
+            }
+            i += 1;
+        }
+        server.flush(*now, &mut |_, bytes| replies.push(bytes.to_vec()));
+    }
+    replies
+}
+
 /// Ledger finding 5: requests are served in arrival order, never in a
 /// hash map's, so two engines fed the same datagrams agree reply for
 /// reply and not just as sets. Flushes here are 20 ms apart at 2000
 /// clients/s, so each serves dozens of requests and their order shows.
 #[test]
 fn identical_input_yields_byte_identical_reply_sequence() {
-    let peer: SocketAddr = "127.0.0.1:5555".parse().unwrap();
-    let step = SimDuration::from_millis(20);
     let mut p = mix_params(0, 13);
     p.rate = 2_000.0;
     let mut load = LoadEngine::new(
@@ -212,52 +283,126 @@ fn identical_input_yields_byte_identical_reply_sequence() {
         vec![("clients".to_string(), mix::by_name("clients", &p).unwrap())],
         46,
     );
-
-    // Record: per flush, the datagrams in and the replies out.
-    let mut first = server_engine("nash", 13);
-    let mut script: Vec<(SimTime, Vec<Vec<u8>>)> = Vec::new();
-    let mut recorded: Vec<Vec<u8>> = Vec::new();
-    let mut most_served_per_flush = 0;
-    let clock = ManualClock::new();
-    load.start();
-    for _ in 0..50 {
-        clock.advance(step);
-        let now = clock.now();
-        let mut ingress = Vec::new();
-        load.advance(now, &mut |bytes| ingress.push(bytes.to_vec()));
-        for frame in &ingress {
-            first.ingest_datagram(peer, frame);
-        }
-        let served_before = first.stats().requests_served;
-        let from = recorded.len();
-        first.flush(now, &mut |_, bytes| recorded.push(bytes.to_vec()));
-        most_served_per_flush =
-            most_served_per_flush.max(first.stats().requests_served - served_before);
-        for frame in &recorded[from..] {
-            let (endpoint, seg) = decode_frame(frame).expect("server emits valid frames");
-            load.deliver(now, endpoint, seg);
-        }
-        script.push((now, ingress));
-    }
+    let rec = record(
+        &mut server_engine("nash", 13),
+        &mut load,
+        50,
+        SimDuration::from_millis(20),
+    );
     assert!(
-        most_served_per_flush >= 8,
-        "no flush served enough requests for their order to matter: {most_served_per_flush}"
+        rec.most_served_per_flush >= 8,
+        "no flush served enough requests for their order to matter: {}",
+        rec.most_served_per_flush
     );
 
     // Replay into a fresh engine: same secret, same clock script.
-    let mut second = server_engine("nash", 13);
-    let mut replayed: Vec<Vec<u8>> = Vec::new();
-    for (now, ingress) in &script {
-        for frame in ingress {
-            second.ingest_datagram(peer, frame);
-        }
-        second.flush(*now, &mut |_, bytes| replayed.push(bytes.to_vec()));
-    }
-    assert_eq!(recorded.len(), replayed.len());
+    let replayed = replay(&mut server_engine("nash", 13), &rec.script, &[]);
+    assert_eq!(rec.replies.len(), replayed.len());
     assert!(
-        recorded == replayed,
+        rec.replies == replayed,
         "reply sequences differ between two engines fed identical input"
     );
+}
+
+/// Datagrams the engine must drop without a trace, each failing at a
+/// different depth — several only after the decode has overwritten the
+/// ingress slot's options or payload.
+fn garbage_datagrams() -> Vec<Vec<u8>> {
+    let framed = |seg: &TcpSegment| {
+        let mut out = Vec::new();
+        wire::encode_frame(Ipv4Addr::new(203, 0, 113, 9), seg, &mut out);
+        out
+    };
+    let solution_ack = SegmentBuilder::new(4000, 80)
+        .seq(1)
+        .ack_num(2)
+        .flags(TcpFlags::ACK)
+        .timestamps(1, 2)
+        .option(TcpOption::Solution(SolutionOption::build(
+            1460,
+            7,
+            &[vec![1; 4], vec![2; 4]],
+            None,
+        )))
+        .payload(vec![b'x'; 700])
+        .build();
+    let mut bad_offset = framed(&solution_ack);
+    bad_offset[FRAME_HEADER_LEN + 12] = 4 << 4;
+    // Timestamps and the solution decode into the slot, then the option
+    // kind in the trailing pad byte has no length byte.
+    let mut late_option_error = framed(&solution_ack);
+    let pad = FRAME_HEADER_LEN + TCP_HEADER_LEN + solution_ack.options_len() - 1;
+    late_option_error[pad] = 8;
+    // Decodes completely, then fails the port check.
+    let mut wrong_port = solution_ack.clone();
+    wrong_port.dst_port = 81;
+    vec![
+        b"not a frame".to_vec(),
+        vec![0xD5, 9, 0, 0, 0, 0], // bad version
+        framed(&solution_ack)[..FRAME_HEADER_LEN + 30].to_vec(), // cut in the options
+        bad_offset,
+        late_option_error,
+        framed(&wrong_port),
+    ]
+}
+
+/// Ingress-slot reuse is unobservable: the same recorded stream with a
+/// rejected datagram after every genuine one gives byte-identical
+/// replies, and the rejects show up only as decode errors — on a
+/// handshake workload and on a SYN flood, where every datagram is
+/// either a decode error or a SYN.
+#[test]
+fn interleaved_garbage_leaves_replies_byte_identical() {
+    let garbage = garbage_datagrams();
+    for (defense, mix_name, seed) in [
+        ("nash", "clients", 17),
+        ("stateless-puzzles", "syn-flood", 19),
+    ] {
+        let mut p = mix_params(0, seed);
+        p.rate = 2_000.0;
+        let mut load = LoadEngine::new(
+            SERVER_ENDPOINT,
+            vec![(mix_name.to_string(), mix::by_name(mix_name, &p).unwrap())],
+            seed,
+        );
+        let rec = record(
+            &mut server_engine(defense, seed),
+            &mut load,
+            30,
+            SimDuration::from_millis(20),
+        );
+        let received: usize = rec.script.iter().map(|(_, ingress)| ingress.len()).sum();
+        assert!(received > 500, "{defense}: stream too small: {received}");
+
+        let mut clean = server_engine(defense, seed);
+        let clean_replies = replay(&mut clean, &rec.script, &[]);
+        let mut dirty = server_engine(defense, seed);
+        let dirty_replies = replay(&mut dirty, &rec.script, &garbage);
+        assert!(
+            clean_replies == rec.replies && dirty_replies == rec.replies,
+            "{defense}: garbage changed the reply sequence"
+        );
+
+        let (clean, dirty) = (clean.stats(), dirty.stats());
+        let n = received as u64;
+        assert_eq!(dirty.datagrams_rx, clean.datagrams_rx + n, "{defense}");
+        assert_eq!(
+            dirty.listener.decode_errors,
+            clean.listener.decode_errors + n
+        );
+        let mut scrubbed = dirty.listener;
+        scrubbed.decode_errors = clean.listener.decode_errors;
+        assert!(
+            scrubbed == clean.listener,
+            "{defense}: listener counters moved"
+        );
+        if mix_name == "syn-flood" {
+            assert_eq!(
+                dirty.listener.decode_errors + dirty.listener.syns_received,
+                dirty.datagrams_rx
+            );
+        }
+    }
 }
 
 #[test]
