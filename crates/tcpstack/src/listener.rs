@@ -837,6 +837,12 @@ impl<B: HashBackend> Listener<B> {
         self.policy.has_flow_state(flow)
     }
 
+    /// Whether the listener itself holds state for `flow`: half-open,
+    /// in the accept queue, or accepted and not yet closed.
+    pub fn knows_flow(&self, flow: &FlowKey) -> bool {
+        self.core.knows_flow(flow)
+    }
+
     /// `(listen_queue_len, accept_queue_len)` — what Fig. 10 plots.
     pub fn queue_depths(&self) -> (usize, usize) {
         (self.core.listen_q.len(), self.core.accept_q.len())

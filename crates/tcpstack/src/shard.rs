@@ -248,6 +248,12 @@ impl<B: HashBackend> ShardedListener<B> {
         shard_for(flow.addr, flow.port, self.shards.len())
     }
 
+    /// Whether the shard owning `flow` holds state for it (see
+    /// [`Listener::knows_flow`]).
+    pub fn knows_flow(&self, flow: &FlowKey) -> bool {
+        self.shards[self.shard_of(*flow)].knows_flow(flow)
+    }
+
     /// Read access to one shard (diagnostics and tests).
     pub fn shard(&self, idx: usize) -> &Listener<B> {
         &self.shards[idx]

@@ -85,7 +85,7 @@ fn main() {
     let l = &stats.listener;
     println!(
         "live_server: {elapsed:.2}s  rx {} tx {}  established {} ({:.0}/s)  served {}  \
-         challenges {}  cookies {}  verify_fail {}  decode_errors {}",
+         challenges {}  cookies {}  verify_fail {}  decode_errors {}  unaddressed {}",
         stats.datagrams_rx,
         stats.datagrams_tx,
         l.established_total(),
@@ -95,6 +95,7 @@ fn main() {
         l.cookies_sent,
         l.verify_failures,
         l.decode_errors,
+        stats.unaddressed_replies,
     );
     println!("live_server stats: {l:?}");
     drop(watchdog);

@@ -24,6 +24,14 @@
 //! measures what the *stack* can do under a real scheduler
 //! (handshakes, issuance, verification, egress); the apache-style
 //! capacity model stays a simulation concern.
+//!
+//! The engine keeps no pre-proof state of its own either. The UDP peer
+//! a datagram came from is remembered for the flush that carries it,
+//! and past that flush only while the listener itself holds the flow
+//! (half-open, queued or accepted). So a spoofed SYN flood that the
+//! installed policy answers statelessly leaves nothing behind in the
+//! engine, and right after a retransmit poll the peer table holds at
+//! most `backlog + accept_backlog + accepted` entries.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -97,6 +105,9 @@ pub struct WireServerStats {
     pub datagrams_tx: u64,
     /// Application requests served to completion (FIN sent).
     pub requests_served: u64,
+    /// Replies dropped because no UDP peer was known for their flow.
+    /// Always 0 unless the engine's peer-retention rule is broken.
+    pub unaddressed_replies: u64,
     /// Listener counters with wire-level `decode_errors` folded in.
     pub listener: ListenerStats,
 }
@@ -109,9 +120,18 @@ pub struct ServerEngine {
     port: u16,
     poll_interval: SimDuration,
     next_poll: SimTime,
-    /// Claimed flow endpoint → actual UDP peer, learned on ingress and
-    /// used for all egress including `poll` retransmissions.
+    /// Claimed flow endpoint → actual UDP peer, for the flows the
+    /// listener holds state for, so `poll` retransmissions reach them in
+    /// flushes where they send nothing. Filled from `batch_peers` at the
+    /// end of each flush and pruned on every poll: right after a poll it
+    /// holds at most `backlog + accept_backlog + accepted` entries,
+    /// however many spoofed SYNs arrived.
     peers: HashMap<FlowKey, SocketAddr>,
+    /// Claimed flow endpoint → actual UDP peer for this flush's
+    /// datagrams; drained at the end of every flush, so it keeps its
+    /// capacity. Egress looks here before `peers`, so a flow that
+    /// re-binds is answered at its newest peer.
+    batch_peers: HashMap<FlowKey, SocketAddr>,
     /// Flows popped from `accept`.
     accepted: HashSet<FlowKey>,
     /// Parsed `gettext` sizes awaiting their flow's accept.
@@ -130,6 +150,7 @@ pub struct ServerEngine {
     datagrams_rx: u64,
     datagrams_tx: u64,
     requests_served: u64,
+    unaddressed_replies: u64,
 }
 
 impl ServerEngine {
@@ -152,6 +173,7 @@ impl ServerEngine {
             poll_interval: cfg.poll_interval,
             next_poll: SimTime::ZERO,
             peers: HashMap::new(),
+            batch_peers: HashMap::new(),
             accepted: HashSet::new(),
             pending: HashMap::new(),
             ready: Vec::new(),
@@ -162,6 +184,7 @@ impl ServerEngine {
             datagrams_rx: 0,
             datagrams_tx: 0,
             requests_served: 0,
+            unaddressed_replies: 0,
         }
     }
 
@@ -189,7 +212,7 @@ impl ServerEngine {
             port: seg.src_port,
         };
         self.live += 1;
-        self.peers.insert(flow, from);
+        self.batch_peers.insert(flow, from);
     }
 
     /// Steps the listener over the ingress batch, serves application
@@ -248,13 +271,33 @@ impl ServerEngine {
             let segs = self.listener.send_data(flow, size, true);
             self.requests_served += 1;
             self.transmit(segs, sink);
-            self.peers.remove(&flow);
+            // Skip hashing the key when there is nothing to remove, the
+            // common case under puzzles.
+            if !self.peers.is_empty() {
+                self.peers.remove(&flow);
+            }
         }
         self.ready = ready;
         if now >= self.next_poll {
             let retx = self.listener.poll(now);
             self.transmit(retx, sink);
             self.next_poll = now + self.poll_interval;
+            // Let go of expired half-opens and reset or closed flows.
+            let listener = &self.listener;
+            self.peers.retain(|flow, _| listener.knows_flow(flow));
+        }
+        // Every reply but one answers a datagram of the same flush —
+        // challenges, cookies, SYN-cache SYN-ACKs, RSTs and `send_data`
+        // — and finds its peer in `batch_peers`. The exception is
+        // `poll`'s SYN-ACK retransmission to a half-open flow, which can
+        // come in a flush where that flow sent nothing. So a peer
+        // outlives its flush only while the listener holds the flow. The
+        // policy's own per-flow state needs none: the SYN cache never
+        // retransmits.
+        for (flow, peer) in self.batch_peers.drain() {
+            if self.listener.knows_flow(&flow) {
+                self.peers.insert(flow, peer);
+            }
         }
     }
 
@@ -268,9 +311,14 @@ impl ServerEngine {
                 addr: endpoint,
                 port: seg.dst_port,
             };
-            let Some(&peer) = self.peers.get(&flow) else {
-                // Endpoint we never heard from (shouldn't happen on
-                // loopback); nowhere to send.
+            let Some(&peer) = self
+                .batch_peers
+                .get(&flow)
+                .or_else(|| self.peers.get(&flow))
+            else {
+                // Nowhere to send: the retention rule in `flush` lost
+                // a peer it should have kept.
+                self.unaddressed_replies += 1;
                 continue;
             };
             self.scratch.clear();
@@ -292,6 +340,7 @@ impl ServerEngine {
             datagrams_rx: self.datagrams_rx,
             datagrams_tx: self.datagrams_tx,
             requests_served: self.requests_served,
+            unaddressed_replies: self.unaddressed_replies,
             listener,
         }
     }
@@ -382,5 +431,170 @@ impl LiveServer {
             });
         }
         self.engine.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::Ipv4Addr;
+
+    use experiments::scenario::DefenseSpec;
+    use hostsim::mix::{self, MixParams};
+    use hostsim::SolveStrategy;
+    use puzzle_core::SolveCostModel;
+    use tcpstack::{SegmentBuilder, TcpFlags};
+
+    use super::*;
+    use crate::clock::ManualClock;
+    use crate::frame::decode_frame;
+    use crate::{secret_from_seed, LoadEngine, WireClock};
+
+    const SERVER_ENDPOINT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+    const SYNS: u32 = 10_000;
+    const STEP: SimDuration = SimDuration::from_millis(10);
+
+    fn engine(defense: &str, backlog: usize) -> ServerEngine {
+        engine_with_queues(defense, backlog, 1024)
+    }
+
+    fn engine_with_queues(defense: &str, backlog: usize, accept_backlog: usize) -> ServerEngine {
+        let spec = DefenseSpec::by_name(defense).expect("registered defense");
+        let mut cfg = ServerConfig::new(spec.builder().clone(), secret_from_seed(21));
+        cfg.backlog = backlog;
+        cfg.accept_backlog = accept_backlog;
+        ServerEngine::new(&cfg)
+    }
+
+    fn peer() -> SocketAddr {
+        "127.0.0.1:5555".parse().unwrap()
+    }
+
+    /// The `i`-th spoofed SYN, from a source endpoint no other `i` uses.
+    fn spoofed_syn(i: u32) -> Vec<u8> {
+        let src = Ipv4Addr::from(0xC612_0000 | (i >> 8));
+        let seg = SegmentBuilder::new(1024 + (i & 0xff) as u16, 80)
+            .seq(i)
+            .flags(TcpFlags::SYN)
+            .build();
+        let mut frame = Vec::new();
+        encode_frame(src, &seg, &mut frame);
+        frame
+    }
+
+    /// Feeds [`SYNS`] unique spoofed SYNs in [`RX_BATCH`]-datagram
+    /// flushes [`STEP`] apart and calls `check` after every flush.
+    fn flood(engine: &mut ServerEngine, clock: &ManualClock, mut check: impl FnMut(&ServerEngine)) {
+        let mut next = 0;
+        while next < SYNS {
+            let end = (next + RX_BATCH as u32).min(SYNS);
+            for i in next..end {
+                engine.ingest_datagram(peer(), &spoofed_syn(i));
+            }
+            next = end;
+            clock.advance(STEP);
+            engine.flush(clock.now(), &mut |_, _| {});
+            assert!(engine.batch_peers.is_empty());
+            check(engine);
+        }
+        assert_eq!(engine.stats().listener.syns_received, u64::from(SYNS));
+        assert_eq!(engine.stats().unaddressed_replies, 0);
+    }
+
+    #[test]
+    fn stateless_answers_leave_no_peers_behind() {
+        for defense in ["stateless-puzzles", "puzzles"] {
+            let mut engine = engine(defense, 0);
+            flood(&mut engine, &ManualClock::new(), |e| {
+                assert!(e.peers.is_empty(), "{defense}: {} peers", e.peers.len());
+            });
+            let stats = engine.stats();
+            assert_eq!(stats.listener.challenges_sent, u64::from(SYNS), "{defense}");
+            assert_eq!(stats.datagrams_tx, u64::from(SYNS), "{defense}");
+        }
+    }
+
+    #[test]
+    fn half_open_peers_are_bounded_by_backlog_and_expire() {
+        let backlog = 1024;
+        let mut engine = engine("none", backlog);
+        let clock = ManualClock::new();
+        let mut most = 0;
+        flood(&mut engine, &clock, |e| {
+            assert!(e.peers.len() <= backlog, "{} peers", e.peers.len());
+            most = most.max(e.peers.len());
+        });
+        assert_eq!(most, backlog);
+
+        // Past the last SYN-ACK retry's back-off every half-open has
+        // expired, and the poll that expired it let go of its peer.
+        let cfg = engine.listener.config();
+        let horizon =
+            clock.now() + cfg.synack_timeout * (2u64 << cfg.synack_retries) + engine.poll_interval;
+        while clock.now() < horizon {
+            clock.advance(engine.poll_interval);
+            engine.flush(clock.now(), &mut |_, _| {});
+        }
+        assert_eq!(engine.listener.queue_depths(), (0, 0));
+        assert!(engine.peers.is_empty(), "{} peers", engine.peers.len());
+        assert_eq!(engine.stats().unaddressed_replies, 0);
+    }
+
+    #[test]
+    fn conn_flood_peers_are_bounded_by_listener_state() {
+        // Queues far shallower than the flood, so most attempts are
+        // dropped and the bound is tight.
+        let mut engine = engine_with_queues("none", 64, 64);
+        let mut p = MixParams::new(
+            Ipv4Addr::new(198, 18, 0, 0),
+            SERVER_ENDPOINT,
+            80,
+            SolveStrategy::Oracle {
+                secret: secret_from_seed(21),
+                cost_model: SolveCostModel::UniformPlacement,
+            },
+        );
+        p.rate = 500.0;
+        p.stop = SimTime::from_secs(1);
+        let mut load = LoadEngine::new(
+            SERVER_ENDPOINT,
+            vec![(
+                "conn-flood".to_string(),
+                mix::by_name("conn-flood", &p).unwrap(),
+            )],
+            23,
+        );
+        let clock = ManualClock::new();
+        load.start();
+        let (mut polls, mut most) = (0, 0);
+        while clock.now() < SimTime::from_secs(4) {
+            clock.advance(STEP);
+            let now = clock.now();
+            load.advance(now, &mut |bytes| engine.ingest_datagram(peer(), bytes));
+            let polled = now >= engine.next_poll;
+            let mut replies = Vec::new();
+            engine.flush(now, &mut |_, bytes| replies.push(bytes.to_vec()));
+            for frame in &replies {
+                let (endpoint, seg) = decode_frame(frame).expect("server emits valid frames");
+                load.deliver(now, endpoint, seg);
+            }
+            if polled {
+                polls += 1;
+                let cfg = engine.listener.config();
+                let bound = cfg.backlog + cfg.accept_backlog + engine.accepted.len();
+                assert!(
+                    engine.peers.len() <= bound,
+                    "{} > {bound}",
+                    engine.peers.len()
+                );
+                assert!(engine.peers.keys().all(|f| engine.listener.knows_flow(f)));
+            }
+            most = most.max(engine.peers.len());
+        }
+        let stats = engine.stats();
+        assert!(polls >= 30, "{polls} polls");
+        assert!(stats.listener.established_total() >= 64, "{stats:?}");
+        assert!(stats.listener.syns_dropped > 0, "{stats:?}");
+        assert!(most > 0);
+        assert_eq!(stats.unaddressed_replies, 0);
     }
 }

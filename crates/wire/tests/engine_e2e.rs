@@ -61,6 +61,7 @@ fn run_in_memory(server: &mut ServerEngine, load: &mut LoadEngine, secs: u64) {
             load.deliver(now, endpoint, seg);
         }
     }
+    assert_eq!(server.stats().unaddressed_replies, 0);
 }
 
 fn server_engine(defense: &str, secret_seed: u64) -> ServerEngine {
@@ -243,6 +244,7 @@ fn record(
         }
         rec.script.push((now, ingress));
     }
+    assert_eq!(server.stats().unaddressed_replies, 0);
     rec
 }
 
@@ -267,6 +269,7 @@ fn replay(
         }
         server.flush(*now, &mut |_, bytes| replies.push(bytes.to_vec()));
     }
+    assert_eq!(server.stats().unaddressed_replies, 0);
     replies
 }
 
@@ -417,5 +420,82 @@ fn undecodable_datagrams_count_as_decode_errors() {
     let stats = server.stats();
     assert_eq!(stats.listener.decode_errors, 3);
     assert_eq!(stats.datagrams_rx, 3);
+    assert_eq!(stats.unaddressed_replies, 0);
     assert_eq!(sunk, 0);
+}
+
+/// Ingests `datagrams`, each from its own UDP peer, flushes at `now`,
+/// and returns every reply decoded, with the peer it was sent to.
+fn step(
+    server: &mut ServerEngine,
+    now: SimTime,
+    datagrams: &[(SocketAddr, &[u8])],
+) -> Vec<(SocketAddr, Ipv4Addr, TcpSegment)> {
+    for (from, frame) in datagrams {
+        server.ingest_datagram(*from, frame);
+    }
+    let mut replies = Vec::new();
+    server.flush(now, &mut |peer, bytes| {
+        let (endpoint, seg) = decode_frame(bytes).expect("server emits valid frames");
+        replies.push((peer, endpoint, seg));
+    });
+    replies
+}
+
+/// A SYN-ACK that `poll` retransmits in a flush where its flow sent
+/// nothing still reaches the UDP peer the SYN came from. A flow whose
+/// next datagram comes from a new UDP peer is answered there, and so
+/// are its later retransmissions.
+#[test]
+fn retransmits_and_rebound_flows_reach_their_latest_peer() {
+    let mut server = server_engine("none", 29);
+    let old: SocketAddr = "127.0.0.1:6001".parse().unwrap();
+    let new: SocketAddr = "127.0.0.1:6002".parse().unwrap();
+    let client = Ipv4Addr::new(198, 51, 100, 7);
+    let syn = |port: u16| {
+        let seg = SegmentBuilder::new(port, 80)
+            .seq(1_000)
+            .flags(TcpFlags::SYN)
+            .build();
+        let mut frame = Vec::new();
+        wire::encode_frame(client, &seg, &mut frame);
+        frame
+    };
+    let (stays, rebinds) = (syn(4001), syn(4002));
+    let synack_to =
+        |replies: &[(SocketAddr, Ipv4Addr, TcpSegment)], port: u16| -> Vec<SocketAddr> {
+            replies
+                .iter()
+                .filter(|(_, endpoint, seg)| *endpoint == client && seg.dst_port == port)
+                .inspect(|(_, _, seg)| assert_eq!(seg.flags, TcpFlags::SYN | TcpFlags::ACK))
+                .map(|(peer, _, _)| *peer)
+                .collect()
+        };
+
+    let clock = ManualClock::new();
+    clock.advance(SimDuration::from_millis(1));
+    let first = step(&mut server, clock.now(), &[(old, &stays), (old, &rebinds)]);
+    assert_eq!(first.len(), 2);
+    assert_eq!(synack_to(&first, 4001), [old]);
+    assert_eq!(synack_to(&first, 4002), [old]);
+
+    // The duplicate SYN from the new peer is answered with the SYN-ACK
+    // again, at the new peer.
+    clock.advance(SimDuration::from_millis(10));
+    let dup = step(&mut server, clock.now(), &[(new, &rebinds)]);
+    assert_eq!(dup.len(), 1);
+    assert_eq!(synack_to(&dup, 4002), [new]);
+
+    // Nothing more from either flow: only `poll` sends from here on.
+    let mut retx = Vec::new();
+    while clock.now() < SimTime::from_secs(4) {
+        clock.advance(SimDuration::from_millis(100));
+        retx.extend(step(&mut server, clock.now(), &[]));
+    }
+    assert_eq!(retx.len(), 4, "{retx:?}");
+    assert_eq!(synack_to(&retx, 4001), [old, old]);
+    assert_eq!(synack_to(&retx, 4002), [new, new]);
+    let stats = server.stats();
+    assert_eq!(stats.listener.synacks_sent, 7);
+    assert_eq!(stats.unaddressed_replies, 0);
 }
