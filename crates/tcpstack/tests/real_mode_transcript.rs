@@ -24,6 +24,14 @@
 //! SYN acted on ahead of an earlier, still-deferred one changes bytes.
 //! Its six digests were captured while `on_segment` and `on_segments`
 //! were still separate code paths.
+//!
+//! A third set runs the first script under `VerifyMode::Oracle` — the
+//! proofs minted as the simulator's keyed oracle proofs instead of
+//! brute-forced — for classic puzzles (prefix and collide) and
+//! stateless puzzles, with a tail that sends one proof bound to another
+//! flow's tuple. Its six digests were captured while oracle verification
+//! was still a second copy of the verify path inside the puzzle policy,
+//! so they pin that the fold into `Verifier` moved no byte.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -31,7 +39,7 @@ use std::net::Ipv4Addr;
 use netsim::{SimDuration, SimTime};
 use puzzle_core::{AlgoId, Challenge, ChallengeParams, Difficulty, ServerSecret, Solver};
 use puzzle_crypto::{auto_backend, AutoBackend, HashBackend};
-use tcpstack::listener::ListenerOutput;
+use tcpstack::listener::{oracle_proof_for, ListenerOutput};
 use tcpstack::{
     FlowKey, ListenerConfig, PolicyBuilder, PuzzleConfig, SegmentBuilder, ShardedListener,
     SolutionOption, SynCacheConfig, TcpFlags, TcpOption, TcpSegment, VerifyMode,
@@ -40,6 +48,7 @@ use tcpstack::{
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const WINDOW_LEN: u32 = 8;
+const SECRET: [u8; 32] = [0x5a; 32];
 
 fn puzzle_cfg() -> PuzzleConfig {
     PuzzleConfig {
@@ -51,6 +60,23 @@ fn puzzle_cfg() -> PuzzleConfig {
         verify_workers: 1,
         algo: AlgoId::Prefix,
     }
+}
+
+fn oracle_cfg(algo: AlgoId) -> PuzzleConfig {
+    PuzzleConfig {
+        verify: VerifyMode::Oracle,
+        algo,
+        ..puzzle_cfg()
+    }
+}
+
+/// Where a run's proofs come from.
+#[derive(Clone, Copy)]
+enum Mint {
+    /// Brute force with the real solver.
+    Solver,
+    /// The simulation oracle's keyed proofs.
+    Oracle,
 }
 
 /// How a round reaches the listener.
@@ -79,13 +105,14 @@ enum Tamper {
 struct Run {
     listener: ShardedListener<AutoBackend>,
     feed: Feed,
+    mint: Mint,
     /// Per client port: `(client ISN, sent TCP timestamps, last SYN-ACK)`.
     flows: BTreeMap<u16, (u32, bool, Option<TcpSegment>)>,
     transcript: Vec<u8>,
 }
 
 impl Run {
-    fn new(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> Self {
+    fn new(policy: &PolicyBuilder<AutoBackend>, feed: Feed, mint: Mint) -> Self {
         let mut cfg = ListenerConfig::new(SERVER_IP, 80);
         // One stateful half-open fills the listen queue (and later
         // retransmits from `poll`); every other SYN is challenged.
@@ -94,12 +121,13 @@ impl Run {
         Run {
             listener: ShardedListener::with_policy(
                 cfg,
-                ServerSecret::from_bytes([0x5a; 32]),
+                ServerSecret::from_bytes(SECRET),
                 auto_backend(),
                 policy,
                 1,
             ),
             feed,
+            mint,
             flows: BTreeMap::new(),
             transcript: Vec::new(),
         }
@@ -119,9 +147,10 @@ impl Run {
         b.build()
     }
 
-    /// Really solves the challenge last sent to `port` and builds the
-    /// solution ACK, echoing the issue stamp the way a client does: in
-    /// `tsecr` when the SYN carried timestamps, embedded otherwise.
+    /// Solves the challenge last sent to `port` — really, or by minting
+    /// oracle proofs — and builds the solution ACK, echoing the issue
+    /// stamp the way a client does: in `tsecr` when the SYN carried
+    /// timestamps, embedded otherwise.
     fn solution(&self, port: u16, tamper: Tamper) -> TcpSegment {
         let (isn, ts, reply) = &self.flows[&port];
         let reply = reply.as_ref().expect("flow was answered");
@@ -140,7 +169,20 @@ impl Run {
             copt.preimage.clone(),
         )
         .expect("consistent challenge");
-        let mut proofs = Solver::new().solve(&challenge).solution.proofs().to_vec();
+        let mut proofs = match self.mint {
+            Mint::Solver => Solver::new().solve(&challenge).solution.proofs().to_vec(),
+            Mint::Oracle => (1..=copt.k)
+                .map(|i| {
+                    oracle_proof_for(
+                        copt.algo,
+                        &ServerSecret::from_bytes(SECRET),
+                        &copt.preimage,
+                        i,
+                        copt.preimage.len(),
+                    )
+                })
+                .collect(),
+        };
         let mut echoed = issued;
         match tamper {
             Tamper::None | Tamper::Short => {}
@@ -162,6 +204,21 @@ impl Run {
         b.option(TcpOption::Solution(sol))
             .payload(b"GET /gettext/64".to_vec())
             .build()
+    }
+
+    /// `donor`'s valid solution ACK sent on `port`'s flow: the right
+    /// stamp and length, proofs bound to another tuple.
+    fn wrong_tuple(&self, port: u16, donor: u16) -> TcpSegment {
+        let (isn, _, reply) = &self.flows[&port];
+        let mut seg = self.solution(donor, Tamper::None);
+        seg.src_port = port;
+        seg.seq = isn.wrapping_add(1);
+        seg.ack = reply
+            .as_ref()
+            .expect("flow was answered")
+            .seq
+            .wrapping_add(1);
+        seg
     }
 
     /// Answers whatever SYN-ACK `port` last received the way a client
@@ -246,8 +303,25 @@ impl Run {
 }
 
 fn transcript_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String {
-    let mut r = Run::new(policy, feed);
+    let mut r = Run::new(policy, feed, Mint::Solver);
+    transcript_script(&mut r);
+    r.digest()
+}
 
+/// The first script under oracle proofs, then a tail: at t = 17 s two
+/// fresh challenged SYNs, at t = 18 s 2015's proofs sent on 2014's flow
+/// (a wrong tuple) ahead of 2015's own valid solution.
+fn oracle_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String {
+    let mut r = Run::new(policy, feed, Mint::Oracle);
+    transcript_script(&mut r);
+    let segs = vec![r.syn(2014, false), r.syn(2015, false)];
+    r.round(17_000, segs);
+    let segs = vec![r.wrong_tuple(2014, 2015), r.solution(2015, Tamper::None)];
+    r.round(18_000, segs);
+    r.digest()
+}
+
+fn transcript_script(r: &mut Run) {
     // t = 1 s (window 0). Port 1999 takes the one listen-queue slot;
     // 2000..=2009 are challenged, alternating TCP timestamps on/off.
     // Then a bare ACK and a data ACK with no solution.
@@ -331,8 +405,6 @@ fn transcript_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String 
         r.solution(2013, Tamper::None),
     ];
     r.round(16_000, segs);
-
-    r.digest()
 }
 
 /// The ordering script. Queues as above (one listen-queue slot, four
@@ -340,7 +412,7 @@ fn transcript_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String 
 /// seconds. Per policy, what each step meets is noted as
 /// cookies / cache / stacked.
 fn ordering_digest(policy: &PolicyBuilder<AutoBackend>, feed: Feed) -> String {
-    let mut r = Run::new(policy, feed);
+    let mut r = Run::new(policy, feed, Mint::Solver);
 
     // t = 1 s, one batch. 1999 takes the listen-queue slot. 2000 and
     // 2001 draw cookies / fill the cache / fill the cache; from 2002 on
@@ -449,6 +521,28 @@ fn real_mode_transcripts_match_the_pinned_digests() {
         "6951a1b0d6b2b0b9e637b24e8636440b567b1d7a686f775258dd30bd702181a0",
         "2d842695dd5310114695558072b3332d4b3db9793a996dd2c62bc986c68d9240",
         "f89d77f96c226c500e2084851ce7dcab9eba385d02629148cd6147b063736f00",
+    ];
+    assert_eq!(actual, pinned);
+}
+
+#[test]
+fn oracle_mode_transcripts_match_the_pinned_digests() {
+    let policies = [
+        PolicyBuilder::puzzles(oracle_cfg(AlgoId::Prefix)),
+        PolicyBuilder::puzzles(oracle_cfg(AlgoId::Collide)),
+        PolicyBuilder::stateless_puzzles(oracle_cfg(AlgoId::Prefix), WINDOW_LEN),
+    ];
+    let actual: Vec<String> = policies
+        .iter()
+        .flat_map(|p| [Feed::Sequential, Feed::Batched].map(|feed| oracle_digest(p, feed)))
+        .collect();
+    let pinned = [
+        "f53cc8bb0e687a130c367c34ea9cd682c3c6293270e9a9beb39b4d2e915feec1",
+        "25e28bf8036bcd510b0f4494cc07d529fb803486a5a82db0ed5a891bd3538622",
+        "cb70931ac454d9eb50d6148497b0d625875a0e32a8e93e8ed99bdd404b6de040",
+        "718a6e8aec52febdf34a77d38064c10a1a67636815ef879c5c5f0bef64b02129",
+        "96fe23fe5d2411ee023ef8989e59fc6587c68aec14de95024cb6d8c1a755b1bf",
+        "0606657a695031da9b460a649eacfb74e1245fc31eb09ad56b68b6dff22da8c4",
     ];
     assert_eq!(actual, pinned);
 }
