@@ -72,4 +72,6 @@ pub use error::{DifficultyError, IssueError, VerifyError};
 pub use replay::{mix64, ReplayCache};
 pub use solve::{solve_fits_budget, SolveOutcome, Solver};
 pub use tuple::ConnectionTuple;
-pub use verify::{BatchOutcome, BatchScratch, IssueScratch, ServerSecret, Verifier, VerifyRequest};
+pub use verify::{
+    oracle_proof, BatchOutcome, BatchScratch, IssueScratch, ServerSecret, Verifier, VerifyRequest,
+};

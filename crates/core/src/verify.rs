@@ -17,6 +17,10 @@
 //!
 //! Both report the number of hash operations charged, which is the single
 //! source of truth the host simulation's CPU accounting consumes.
+//!
+//! The per-proof predicate is the puzzle algorithm's hash check, or,
+//! under [`Verifier::with_oracle_proofs`], equality with the simulation
+//! oracle's keyed [`oracle_proof`]; everything around it is shared.
 
 use std::sync::Arc;
 
@@ -226,6 +230,9 @@ pub struct Verifier<B: HashBackend = ScalarBackend> {
     /// fail the structural precheck (their proofs have the wrong
     /// length) before any hash is spent.
     algo: AlgoId,
+    /// Whether proofs are checked against [`oracle_proof`] instead of
+    /// the algorithm's hash predicate ([`Verifier::with_oracle_proofs`]).
+    oracle_proofs: bool,
 }
 
 impl Verifier<ScalarBackend> {
@@ -251,6 +258,7 @@ impl<B: HashBackend> Verifier<B> {
             replay: None,
             window: None,
             algo: AlgoId::Prefix,
+            oracle_proofs: false,
         }
     }
 
@@ -267,6 +275,16 @@ impl<B: HashBackend> Verifier<B> {
     /// The configured puzzle algorithm.
     pub fn algo(&self) -> AlgoId {
         self.algo
+    }
+
+    /// Checks each proof against [`oracle_proof`] instead of the
+    /// algorithm's hash predicate, charging the same
+    /// [`AlgoId::verify_hashes_per_proof`]. Freshness, structure, replay
+    /// admission and the pre-image round are unchanged, so verdicts and
+    /// charges match the default wherever proof bytes are not at stake.
+    pub fn with_oracle_proofs(mut self) -> Self {
+        self.oracle_proofs = true;
+        self
     }
 
     /// Sets the maximum accepted challenge age (replay window).
@@ -318,10 +336,9 @@ impl<B: HashBackend> Verifier<B> {
 
     /// The freshness frame verification runs in: `(now, max_age)` in
     /// clock units for the classic mode, `(current window, 1)` in
-    /// windowed mode. Replay-cache callers outside the batch engine
-    /// (e.g. an oracle-mode policy) must consult the cache in this frame
-    /// so both modes key and age admissions identically.
-    pub fn freshness_frame(&self, now: u32) -> (u32, u32) {
+    /// windowed mode. Replay admissions are keyed and aged in this
+    /// frame.
+    fn freshness_frame(&self, now: u32) -> (u32, u32) {
         match &self.window {
             Some(prf) => (prf.window_of(now), 1),
             None => (now, self.max_age),
@@ -558,13 +575,16 @@ impl<B: HashBackend> Verifier<B> {
         };
         let mut hashes = 1u64;
         for (i, proof) in solution.proofs().iter().enumerate() {
-            let (ok, cost) = self.algo.check_proof(
-                &self.backend,
-                &preimage,
-                params.difficulty.m(),
-                i as u8 + 1,
-                proof,
-            );
+            let index = i as u8 + 1;
+            let (ok, cost) = if self.oracle_proofs {
+                let expected =
+                    oracle_proof(&self.backend, self.algo, &self.secret, &preimage, index);
+                (*proof == expected, self.algo.verify_hashes_per_proof())
+            } else {
+                let m = params.difficulty.m();
+                self.algo
+                    .check_proof(&self.backend, &preimage, m, index, proof)
+            };
             hashes += cost;
             if !ok {
                 return (Err(VerifyError::Invalid { index: i }), hashes);
@@ -746,33 +766,47 @@ impl<B: HashBackend> Verifier<B> {
         // algorithm stages `messages_per_proof` messages per live entry
         // (1 for prefix, the 2 pair halves for collide) and judges from
         // that many consecutive digests; charging `arena.len()` therefore
-        // charges the per-algo cost automatically.
+        // charges the per-algo cost automatically. The oracle stages
+        // nothing, compares each proof to its MAC and charges the same
+        // `messages_per_proof` per live entry.
         // Invariant: every `live` entry has more than `round` proofs.
         let mpp = self.algo.messages_per_proof();
         let mut round = 0usize;
         while !scratch.live.is_empty() {
-            scratch.arena.clear();
-            for (j, pre) in &scratch.live {
-                let (_, params, solution) = &requests[at(*j as usize)];
-                self.algo.stage_proof(
-                    &mut scratch.arena,
-                    &pre[..params.preimage_len()],
-                    round as u8 + 1,
-                    &solution.proofs()[round],
-                );
+            let index = round as u8 + 1;
+            if self.oracle_proofs {
+                hashes += (scratch.live.len() * mpp) as u64;
+            } else {
+                scratch.arena.clear();
+                for (j, pre) in &scratch.live {
+                    let (_, params, solution) = &requests[at(*j as usize)];
+                    self.algo.stage_proof(
+                        &mut scratch.arena,
+                        &pre[..params.preimage_len()],
+                        index,
+                        &solution.proofs()[round],
+                    );
+                }
+                scratch.digests.clear();
+                self.backend
+                    .sha256_arena(&scratch.arena, &mut scratch.digests);
+                hashes += scratch.arena.len() as u64;
             }
-            scratch.digests.clear();
-            self.backend
-                .sha256_arena(&scratch.arena, &mut scratch.digests);
-            hashes += scratch.arena.len() as u64;
 
             // Compact the live set in place (no fresh survivor vector).
             let mut kept = 0usize;
             for i in 0..scratch.live.len() {
                 let (j, pre) = scratch.live[i];
                 let (_, params, solution) = &requests[at(j as usize)];
-                let m = params.difficulty.m();
-                if !self.algo.round_ok(&scratch.digests, i * mpp, &pre, m) {
+                let ok = if self.oracle_proofs {
+                    let pre = &pre[..params.preimage_len()];
+                    solution.proofs()[round]
+                        == oracle_proof(&self.backend, self.algo, &self.secret, pre, index)
+                } else {
+                    let m = params.difficulty.m();
+                    self.algo.round_ok(&scratch.digests, i * mpp, &pre, m)
+                };
+                if !ok {
                     scratch.verdicts[j as usize] = Err(VerifyError::Invalid { index: round });
                 } else if round + 1 < solution.len() {
                     scratch.live[kept] = (j, pre);
@@ -867,6 +901,35 @@ impl<B: HashBackend> Verifier<B> {
             }
         }
         Ok(())
+    }
+}
+
+/// The simulation oracle's proof for sub-puzzle `index` (1-based) of a
+/// `preimage.len()`-byte puzzle, in the wire shape `algo` expects:
+/// `HMAC(secret, P ‖ i)` truncated to the pre-image length for
+/// [`AlgoId::Prefix`]; for [`AlgoId::Collide`], the domain-separated pair
+/// `HMAC(secret, P ‖ i ‖ "a")`, `HMAC(secret, P ‖ i ‖ "b")`, each
+/// truncated, so the halves differ with overwhelming probability.
+///
+/// Simulated solving hosts mint proofs with this after modelling the
+/// brute-force delay; a verifier built [`Verifier::with_oracle_proofs`]
+/// recomputes it. Only the server secret can produce it, so binding to
+/// the tuple and timestamp (through `P`) and forgery rejection hold as
+/// in the real protocol.
+pub fn oracle_proof<B: HashBackend>(
+    backend: &B,
+    algo: AlgoId,
+    secret: &ServerSecret,
+    preimage: &[u8],
+    index: u8,
+) -> Vec<u8> {
+    let mac = |suffix: &[u8]| {
+        let tag = backend.hmac_sha256_parts(secret.as_bytes(), &[preimage, &[index], suffix]);
+        tag[..preimage.len()].to_vec()
+    };
+    match algo {
+        AlgoId::Prefix => mac(&[]),
+        AlgoId::Collide => [mac(b"a"), mac(b"b")].concat(),
     }
 }
 

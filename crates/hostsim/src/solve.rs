@@ -2,10 +2,10 @@
 
 use netsim::rng::SimRng;
 use puzzle_core::{
-    sample_solve_hashes_for, solve_fits_budget, Challenge, ChallengeParams, ConnectionTuple,
-    Difficulty, ServerSecret, SolveCostModel, Solver,
+    oracle_proof, sample_solve_hashes_for, solve_fits_budget, Challenge, ChallengeParams,
+    ConnectionTuple, Difficulty, ServerSecret, SolveCostModel, Solver,
 };
-use tcpstack::listener::oracle_proof_for;
+use puzzle_crypto::ScalarBackend;
 use tcpstack::ChallengeOption;
 
 /// Strategy for producing the proof bytes of a challenge.
@@ -98,9 +98,16 @@ impl SolveStrategy {
                 if !solve_fits_budget(hashes, budget) {
                     return None;
                 }
-                let len = challenge.preimage.len();
                 let proofs = (1..=challenge.k)
-                    .map(|i| oracle_proof_for(challenge.algo, secret, &challenge.preimage, i, len))
+                    .map(|i| {
+                        oracle_proof(
+                            &ScalarBackend,
+                            challenge.algo,
+                            secret,
+                            &challenge.preimage,
+                            i,
+                        )
+                    })
                     .collect();
                 Some(SolvedProofs { proofs, hashes })
             }
@@ -113,7 +120,6 @@ mod tests {
     use super::*;
     use puzzle_core::AlgoId;
     use std::net::Ipv4Addr;
-    use tcpstack::listener::oracle_proof;
 
     fn tuple() -> ConnectionTuple {
         ConnectionTuple::new(
@@ -147,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_strategy_matches_listener_oracle() {
+    fn oracle_strategy_mints_core_oracle_proofs() {
         let secret = ServerSecret::from_bytes([4; 32]);
         let copt = ChallengeOption {
             k: 3,
@@ -164,7 +170,14 @@ mod tests {
         let solved = strategy.solve(&tuple(), &copt, 5, &mut rng);
         assert_eq!(solved.proofs.len(), 3);
         for (i, p) in solved.proofs.iter().enumerate() {
-            assert_eq!(p, &oracle_proof(&secret, &copt.preimage, i as u8 + 1, 4));
+            let expected = oracle_proof(
+                &ScalarBackend,
+                AlgoId::Prefix,
+                &secret,
+                &copt.preimage,
+                i as u8 + 1,
+            );
+            assert_eq!(p, &expected);
         }
         // Modelled cost is in the plausible range for (3, 17):
         // 3 sub-puzzles × [1, 2^17] each.
@@ -214,10 +227,14 @@ mod tests {
         for (i, p) in solved.proofs.iter().enumerate() {
             assert_eq!(p.len(), 8, "pair of l-bit nonces");
             assert_ne!(p[..4], p[4..], "domain-separated halves differ");
-            assert_eq!(
-                p,
-                &oracle_proof_for(AlgoId::Collide, &secret, &copt.preimage, i as u8 + 1, 4)
+            let expected = oracle_proof(
+                &ScalarBackend,
+                AlgoId::Collide,
+                &secret,
+                &copt.preimage,
+                i as u8 + 1,
             );
+            assert_eq!(p, &expected);
         }
         // Birthday-model cost: k pairs, each at least 2 hashes and far
         // below the prefix model's k·2^m ceiling.

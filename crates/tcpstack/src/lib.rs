@@ -23,13 +23,15 @@
 //!
 //! # Verification backends
 //!
-//! [`VerifyMode::Real`] runs the actual brute-force-verifiable protocol
-//! from `puzzle-core` (used in tests, examples, and the profiler).
-//! [`VerifyMode::Oracle`] preserves every protocol behaviour — tuple and
-//! timestamp binding, expiry, forgery rejection — while replacing the
-//! client's brute-force search with a secret-keyed proof the simulation
-//! can mint in O(1), so that simulated solve *time* can be modelled at
-//! difficulties like the paper's `(2, 17)` without burning real CPU. See
+//! Both modes verify through the one `puzzle_core::Verifier` path;
+//! they differ only in the per-proof predicate.
+//! [`VerifyMode::Real`] checks the algorithm's hash predicate, so clients
+//! must really brute-force (tests, examples, the wire front-end).
+//! [`VerifyMode::Oracle`] checks each proof against a secret-keyed MAC
+//! (`puzzle_core::oracle_proof`) the simulation mints in O(1), so that
+//! simulated solve *time* can be modelled at difficulties like the
+//! paper's `(2, 17)` without burning real CPU. Freshness, binding,
+//! replay admission and hash charges are the same code in both. See
 //! `DESIGN.md` ("Substitutions").
 
 // `deny`, not `forbid`: the SPSC ring and the persistent shard-worker
@@ -53,8 +55,8 @@ pub mod shard;
 pub use client::{ClientConfig, ClientConn, ClientEvent, ClientState};
 pub use cookie::SynCookieCodec;
 pub use listener::{
-    oracle_proof, oracle_proof_with, puzzle_clock, FlowKey, Listener, ListenerConfig, ListenerCore,
-    ListenerEvent, ListenerStats, PuzzleConfig, SynCacheConfig, VerifyMode, TCP_MIN_SND_MSS,
+    puzzle_clock, FlowKey, Listener, ListenerConfig, ListenerCore, ListenerEvent, ListenerStats,
+    PuzzleConfig, SynCacheConfig, VerifyMode, TCP_MIN_SND_MSS,
 };
 pub use options::{ChallengeOption, OptionDecodeError, SolutionOption, TcpOption};
 pub use policy::{

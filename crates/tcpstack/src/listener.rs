@@ -64,18 +64,23 @@ pub struct FlowKey {
     pub port: u16,
 }
 
-/// How the listener checks puzzle solutions.
+/// Which per-proof predicate the puzzle verifier checks. Everything
+/// else about a solution ACK — freshness, structure, replay admission,
+/// the pre-image recomputation and its hash charge — is the same
+/// `puzzle_core::Verifier` code in both modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VerifyMode {
-    /// Full cryptographic verification via `puzzle-core` — clients must
-    /// really brute-force. Used by tests, examples, and real deployments.
+    /// The puzzle algorithm's hash predicate — clients must really
+    /// brute-force. Used by tests, examples, and real deployments.
     #[default]
     Real,
-    /// Simulation oracle: the proof for sub-puzzle `i` is
-    /// `HMAC(secret, preimage ‖ i)` truncated to `l` bits. Binding,
-    /// expiry, and forgery rejection behave identically, but a simulated
-    /// solver mints the proof in O(1) and *models* the solve time instead
-    /// of burning real CPU (see DESIGN.md, Substitutions).
+    /// The simulation oracle
+    /// ([`puzzle_core::Verifier::with_oracle_proofs`]): proof
+    /// `i` must equal [`puzzle_core::oracle_proof`], a keyed MAC over
+    /// the pre-image and `i`, and costs the algorithm's hashes per
+    /// checked proof. A simulated solver mints it in O(1) and *models*
+    /// the solve time instead of burning real CPU (see DESIGN.md,
+    /// Substitutions).
     Oracle,
 }
 
@@ -301,7 +306,7 @@ pub struct ListenerStats {
     /// the same `(tuple, timestamp)` admission.
     pub verify_replayed: u64,
     /// Hash operations charged by solution verification (pre-images plus
-    /// sub-solution checks; oracle mode charges the real-path equivalent).
+    /// sub-solution checks, charged alike in both [`VerifyMode`]s).
     /// Together with `issue_hashes` this is the single source of truth
     /// for defence CPU accounting.
     pub verify_hashes: u64,
@@ -1310,73 +1315,11 @@ pub(crate) fn cookie_counter(now: SimTime) -> u64 {
     now.as_nanos() / 1_000_000_000 / crate::cookie::COUNTER_PERIOD_SECS
 }
 
-/// Mints the simulation-oracle proof for sub-puzzle `index` (1-based):
-/// `HMAC(secret, preimage ‖ index)` truncated to the solution length,
-/// through the default scalar backend.
-///
-/// Solving hosts in the simulator call this *after* modelling the
-/// brute-force delay; the listener in [`VerifyMode::Oracle`] recomputes it
-/// to verify. See the mode's docs for why this preserves the protocol's
-/// observable behaviour.
-pub fn oracle_proof(secret: &ServerSecret, preimage: &[u8], index: u8, len: usize) -> Vec<u8> {
-    oracle_proof_with(&ScalarBackend, secret, preimage, index, len)
-}
-
-/// [`oracle_proof`] through an explicit [`HashBackend`].
-pub fn oracle_proof_with<B: HashBackend>(
-    backend: &B,
-    secret: &ServerSecret,
-    preimage: &[u8],
-    index: u8,
-    len: usize,
-) -> Vec<u8> {
-    backend.hmac_sha256_parts(secret.as_bytes(), &[preimage, &[index]])[..len].to_vec()
-}
-
-/// Per-algorithm oracle proof: [`AlgoId::Prefix`] mints the single
-/// [`oracle_proof`] nonce; [`AlgoId::Collide`] mints a *pair* of
-/// domain-separated nonces (`… ‖ "a"` and `… ‖ "b"`), so the proof has
-/// the collide wire shape (`2 × len` bytes, halves distinct with
-/// overwhelming probability) and the oracle verifier recomputes two
-/// MACs per proof — matching the real path's `2k`-hash verify cost.
-pub fn oracle_proof_for(
-    algo: AlgoId,
-    secret: &ServerSecret,
-    preimage: &[u8],
-    index: u8,
-    len: usize,
-) -> Vec<u8> {
-    oracle_proof_for_with(&ScalarBackend, algo, secret, preimage, index, len)
-}
-
-/// [`oracle_proof_for`] through an explicit [`HashBackend`].
-pub fn oracle_proof_for_with<B: HashBackend>(
-    backend: &B,
-    algo: AlgoId,
-    secret: &ServerSecret,
-    preimage: &[u8],
-    index: u8,
-    len: usize,
-) -> Vec<u8> {
-    match algo {
-        AlgoId::Prefix => oracle_proof_with(backend, secret, preimage, index, len),
-        AlgoId::Collide => {
-            let mut proof = backend
-                .hmac_sha256_parts(secret.as_bytes(), &[preimage, &[index], b"a"])[..len]
-                .to_vec();
-            proof.extend_from_slice(
-                &backend.hmac_sha256_parts(secret.as_bytes(), &[preimage, &[index], b"b"])[..len],
-            );
-            proof
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::{SolutionOption, TcpOption};
-    use puzzle_core::Solver;
+    use puzzle_core::{oracle_proof, Solver};
 
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -1738,7 +1681,7 @@ mod tests {
         let issued = challenged.timestamps().unwrap().0;
         let secret = ServerSecret::from_bytes([7; 32]);
         let proofs: Vec<Vec<u8>> = (1..=copt.k)
-            .map(|i| oracle_proof(&secret, &copt.preimage, i, 4))
+            .map(|i| oracle_proof(&ScalarBackend, AlgoId::Prefix, &secret, &copt.preimage, i))
             .collect();
         let sol = SolutionOption::build(1460, 7, &proofs, None);
         let good = SegmentBuilder::new(2000, 80)
@@ -1896,7 +1839,7 @@ mod tests {
         assert_eq!(issued, 0); // window index, t = 0 → window 0
         let secret = ServerSecret::from_bytes([7; 32]);
         let proofs: Vec<Vec<u8>> = (1..=copt.k)
-            .map(|i| oracle_proof(&secret, &copt.preimage, i, 4))
+            .map(|i| oracle_proof(&ScalarBackend, AlgoId::Prefix, &secret, &copt.preimage, i))
             .collect();
         let sol = SolutionOption::build(1460, 7, &proofs, None);
         let good = SegmentBuilder::new(2000, 80)

@@ -52,17 +52,15 @@ use std::sync::Arc;
 use crate::adaptive::{AdaptiveDifficulty, AdaptiveObservation};
 use crate::cookie::SynCookieCodec;
 use crate::listener::{
-    build_synack, cookie_counter, oracle_proof_for_with, puzzle_clock, EstablishedVia, FlowKey,
-    ListenerConfig, ListenerCore, ListenerEvent, ListenerOutput, PuzzleConfig, SynCacheConfig,
-    VerifyMode,
+    build_synack, cookie_counter, puzzle_clock, EstablishedVia, FlowKey, ListenerConfig,
+    ListenerCore, ListenerEvent, ListenerOutput, PuzzleConfig, SynCacheConfig,
 };
 use crate::options::{ChallengeOption, SolutionOption, TcpOption};
 use crate::segment::{SegmentBuilder, TcpFlags, TcpSegment};
 use netsim::{SimDuration, SimTime};
 use puzzle_core::{
-    compute_preimage, compute_windowed_preimage, validate_preimage_bits, AlgoId, BatchScratch,
-    ChallengeParams, ConnectionTuple, Difficulty, IssueScratch, ReplayCache, ServerSecret,
-    Solution, Verifier, VerifyError, VerifyRequest,
+    validate_preimage_bits, AlgoId, BatchScratch, ChallengeParams, ConnectionTuple, Difficulty,
+    IssueScratch, ReplayCache, ServerSecret, Solution, Verifier, VerifyError, VerifyRequest,
 };
 use puzzle_crypto::{Digest, HashBackend, MessageArena};
 
@@ -873,10 +871,10 @@ type ChallengedSyn = (FlowKey, u32, Option<u32>);
 ///   — between `window_len` and `2·window_len` seconds of solving time.
 ///   The [`Verifier`] owns this decision ([`Verifier::with_window`]);
 ///   the policy reads it back through [`Verifier::window_prf`] and
-///   [`Verifier::freshness_frame`] and keeps no flag of its own. Clients
-///   echo the field verbatim (the SYN-ACK `tsval`, or the embedded
-///   challenge timestamp when TCP timestamps are off), so nothing
-///   client-side differs between the two.
+///   keeps no flag of its own. Clients echo the field verbatim (the
+///   SYN-ACK `tsval`, or the embedded challenge timestamp when TCP
+///   timestamps are off), so nothing client-side differs between the
+///   two.
 /// * **Difficulty source** — *fixed* ([`PuzzleConfig::difficulty`],
 ///   retunable through [`DefensePolicy::set_difficulty`]) or the §7
 ///   *closed loop*: an owned [`AdaptiveDifficulty`] controller observes
@@ -979,6 +977,9 @@ impl<B: HashBackend> PuzzleDefense<B> {
             .with_replay_cache(Arc::new(ReplayCache::default()));
         if let Some(len) = window_len {
             verifier = verifier.with_window(len);
+        }
+        if cfg.verify == crate::listener::VerifyMode::Oracle {
+            verifier = verifier.with_oracle_proofs();
         }
         PuzzleDefense {
             cfg,
@@ -1123,13 +1124,12 @@ impl<B: HashBackend> PuzzleDefense<B> {
     }
 
     /// The verification chokepoint both solution paths share, appending
-    /// one verdict per request: real mode goes through the backend's
-    /// batch engine (freshness frame and replay keying come from the
-    /// verifier itself) — via the reusable zero-allocation scratch on
-    /// the calling thread, or fanned across scoped worker threads when
-    /// [`PuzzleConfig::verify_workers`] > 1; oracle mode recomputes
-    /// keyed proofs and charges the real-path hash-count equivalent,
-    /// consulting the same replay cache in the same frame.
+    /// one verdict per request from the verifier's batch engine: via the
+    /// reusable zero-allocation scratch on the calling thread, or fanned
+    /// across scoped worker threads when [`PuzzleConfig::verify_workers`]
+    /// is above one. Freshness frame, replay keying and the proof
+    /// predicate (the algorithm's, or the simulation oracle's) all come
+    /// from the verifier itself.
     fn verify_requests(
         &mut self,
         core: &mut ListenerCore<B>,
@@ -1137,119 +1137,18 @@ impl<B: HashBackend> PuzzleDefense<B> {
         requests: &[VerifyRequest],
         verdicts: &mut Vec<Result<(), VerifyError>>,
     ) {
-        match self.cfg.verify {
-            VerifyMode::Real if self.cfg.verify_workers > 1 => {
-                let batch =
-                    self.verifier
-                        .verify_batch_parallel(requests, now_ts, self.cfg.verify_workers);
-                core.stats_mut().verify_hashes += batch.hashes;
-                verdicts.extend(batch.verdicts);
-            }
-            VerifyMode::Real => {
-                core.stats_mut().verify_hashes +=
-                    self.verifier
-                        .verify_batch_with(requests, now_ts, &mut self.scratch);
-                verdicts.extend_from_slice(self.scratch.verdicts());
-            }
-            VerifyMode::Oracle => {
-                let cache = self.verifier.replay_cache();
-                let (frame_now, frame_age) = self.verifier.freshness_frame(now_ts);
-                verdicts.reserve(requests.len());
-                for request @ (tuple, params, _) in requests {
-                    if let Some(c) = cache {
-                        if c.contains(tuple, params.timestamp, frame_now, frame_age) {
-                            verdicts.push(Err(VerifyError::Replayed));
-                            continue;
-                        }
-                    }
-                    let (res, hashes) =
-                        self.oracle_verify(core.secret(), frame_now, frame_age, request);
-                    core.stats_mut().verify_hashes += hashes;
-                    let res = match (&res, cache) {
-                        (Ok(()), Some(c))
-                            if !c.insert(tuple, params.timestamp, frame_now, frame_age) =>
-                        {
-                            Err(VerifyError::Replayed)
-                        }
-                        _ => res,
-                    };
-                    verdicts.push(res);
-                }
-            }
+        if self.cfg.verify_workers > 1 {
+            let batch =
+                self.verifier
+                    .verify_batch_parallel(requests, now_ts, self.cfg.verify_workers);
+            core.stats_mut().verify_hashes += batch.hashes;
+            verdicts.extend(batch.verdicts);
+        } else {
+            core.stats_mut().verify_hashes +=
+                self.verifier
+                    .verify_batch_with(requests, now_ts, &mut self.scratch);
+            verdicts.extend_from_slice(self.scratch.verdicts());
         }
-    }
-
-    /// Oracle-mode verification: identical structural and freshness
-    /// checks to [`Verifier::verify`], in the verifier's freshness frame
-    /// (so `Expired` / `FutureTimestamp` are in window units on the
-    /// window source), with the hash-prefix check replaced by the keyed
-    /// oracle comparison. Returns the verdict plus the hash count the
-    /// *real* path would have charged (1 pre-image + the algorithm's
-    /// cost per checked proof; the per-window nonce HMAC is charged once
-    /// per window at issuance, mirroring the real path's amortized
-    /// memo), so CPU accounting stays faithful to the paper whichever
-    /// mode runs.
-    fn oracle_verify(
-        &self,
-        secret: &ServerSecret,
-        frame_now: u32,
-        frame_age: u32,
-        (tuple, params, solution): &VerifyRequest,
-    ) -> (Result<(), VerifyError>, u64) {
-        if params.timestamp > frame_now {
-            return (
-                Err(VerifyError::FutureTimestamp {
-                    issued_at: params.timestamp,
-                    now: frame_now,
-                }),
-                0,
-            );
-        }
-        if frame_now - params.timestamp > frame_age {
-            return (
-                Err(VerifyError::Expired {
-                    issued_at: params.timestamp,
-                    now: frame_now,
-                    max_age: frame_age,
-                }),
-                0,
-            );
-        }
-        let k = params.difficulty.k();
-        if solution.len() != k as usize {
-            return (
-                Err(VerifyError::WrongSolutionCount {
-                    expected: k,
-                    got: solution.len(),
-                }),
-                0,
-            );
-        }
-        if let Err(e) = validate_preimage_bits(params.preimage_bits as u16, params.difficulty) {
-            return (Err(VerifyError::BadParams(e)), 0);
-        }
-        // Recompute the pre-image exactly as the real path does (1
-        // hash) — the one step that depends on the nonce source.
-        let backend = self.verifier.backend();
-        let len = params.preimage_bits as usize / 8;
-        let preimage = match self.verifier.window_prf() {
-            Some(prf) => {
-                compute_windowed_preimage(backend, &prf.nonce(params.timestamp), tuple, len)
-            }
-            None => compute_preimage(backend, secret, tuple, params.timestamp, len),
-        };
-        let algo = self.cfg.algo;
-        let mut hashes = 1u64;
-        for (i, proof) in solution.proofs().iter().enumerate() {
-            if proof.len() != algo.proof_len(len) {
-                return (Err(VerifyError::BadSolutionLength { index: i }), hashes);
-            }
-            hashes += algo.verify_hashes_per_proof();
-            if proof != &oracle_proof_for_with(backend, algo, secret, &preimage, i as u8 + 1, len) {
-                return (Err(VerifyError::Invalid { index: i }), hashes);
-            }
-        }
-        (Ok(()), hashes)
     }
 }
 

@@ -37,9 +37,11 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use netsim::{SimDuration, SimTime};
-use puzzle_core::{AlgoId, Challenge, ChallengeParams, Difficulty, ServerSecret, Solver};
-use puzzle_crypto::{auto_backend, AutoBackend, HashBackend};
-use tcpstack::listener::{oracle_proof_for, ListenerOutput};
+use puzzle_core::{
+    oracle_proof, AlgoId, Challenge, ChallengeParams, Difficulty, ServerSecret, Solver,
+};
+use puzzle_crypto::{auto_backend, AutoBackend, HashBackend, ScalarBackend};
+use tcpstack::listener::ListenerOutput;
 use tcpstack::{
     FlowKey, ListenerConfig, PolicyBuilder, PuzzleConfig, SegmentBuilder, ShardedListener,
     SolutionOption, SynCacheConfig, TcpFlags, TcpOption, TcpSegment, VerifyMode,
@@ -173,12 +175,12 @@ impl Run {
             Mint::Solver => Solver::new().solve(&challenge).solution.proofs().to_vec(),
             Mint::Oracle => (1..=copt.k)
                 .map(|i| {
-                    oracle_proof_for(
+                    oracle_proof(
+                        &ScalarBackend,
                         copt.algo,
                         &ServerSecret::from_bytes(SECRET),
                         &copt.preimage,
                         i,
-                        copt.preimage.len(),
                     )
                 })
                 .collect(),
@@ -297,7 +299,7 @@ impl Run {
             self.listener.policy_stats()
         );
         self.transcript.extend_from_slice(tail.as_bytes());
-        let digest = puzzle_crypto::ScalarBackend.sha256(&self.transcript);
+        let digest = ScalarBackend.sha256(&self.transcript);
         digest.iter().map(|b| format!("{b:02x}")).collect()
     }
 }
