@@ -279,3 +279,156 @@ fn golden_defense_matrix_shards4_persistent() {
         "persistent",
     );
 }
+
+/// One small matrix cell per fleet behaviour the `sim_matrix` cells do
+/// not reach: a solving `BotFleet` connection flood, a replay flood, a
+/// solution flood, an unspoofed SYN flood, a non-solving `ClientFleet`,
+/// and a `ClientFleet` whose SYNs an undefended server drops, so it
+/// retransmits. Each cell also asserts that it exercises what it is
+/// named for, so a pin cannot go stale by silently skipping its path.
+/// These were captured before the three client implementations were
+/// folded onto `tcpstack::client`'s shared handshake core, and must
+/// reproduce byte-for-byte after it.
+#[test]
+fn golden_fleet_kinds() {
+    use tcp_puzzles::experiments::golden::digest_testbed;
+    use tcp_puzzles::experiments::scenario::{
+        client_fleet_base, oracle_strategy, Matrix, Timeline, SERVER_IP,
+    };
+    use tcp_puzzles::hostsim::{ClientFleetParams, FleetAttack, SolveBehavior};
+    use tcp_puzzles::netsim::SimDuration;
+
+    let timeline = Timeline::smoke();
+    let matrix = Matrix::new(timeline).clients(2);
+    let nash = DefenseSpec::nash();
+    let conn = |solve| FleetAttack::ConnFlood {
+        rate: 300.0,
+        solve,
+        conn_timeout: SimDuration::from_secs(1),
+        ack_delay: SimDuration::ZERO,
+    };
+    let client_fleet = |behavior| {
+        let mut p = ClientFleetParams::population(client_fleet_base(0), SERVER_IP, 2, behavior);
+        p.flows = 64;
+        p
+    };
+
+    // (name, defence, attack, flows, backlog 0 forces challenges,
+    // client fleet, expected digest)
+    let cells = [
+        (
+            "conn-flood-solving",
+            nash.clone(),
+            conn(Some(oracle_strategy())),
+            500,
+            true,
+            None,
+            "2fe48ddbdadfc52c235537ad102f6f02a73ab5f1999a8dc66154cec4cd2a2faf",
+        ),
+        (
+            "replay-flood",
+            nash.clone(),
+            FleetAttack::ReplayFlood {
+                rate: 2_000.0,
+                solve: oracle_strategy(),
+            },
+            200,
+            true,
+            None,
+            "9253c6f1bfe5f3aa308a7d27333e5cf2ba9a38d6c375490db0a92f6ddc2a8db5",
+        ),
+        (
+            "solution-flood",
+            nash.clone(),
+            FleetAttack::SolutionFlood {
+                rate: 2_000.0,
+                k: 2,
+                sol_len: 4,
+            },
+            1_000,
+            false,
+            None,
+            "37fcefa394aab6dc34bde40c41057241c5a87a48bd6c98e22fe813b15a6d92c1",
+        ),
+        (
+            "syn-flood-unspoofed",
+            nash.clone(),
+            FleetAttack::SynFlood {
+                rate: 2_000.0,
+                spoof: false,
+            },
+            1_000,
+            false,
+            None,
+            "06a871ea35f99c793ce8fe658ba86a77b4c5d69940952971dd3fdfc0bc6c16e2",
+        ),
+        (
+            "client-fleet-ignore",
+            nash.clone(),
+            conn(None),
+            500,
+            true,
+            Some(client_fleet(SolveBehavior::Ignore)),
+            "43e7701d9f872f3fd950b828964610653bb5d142587ad57f8d4c86960f7facec",
+        ),
+        (
+            "client-fleet-retransmit",
+            DefenseSpec::none(),
+            FleetAttack::SynFlood {
+                rate: 2_000.0,
+                spoof: true,
+            },
+            1_000,
+            false,
+            Some(client_fleet(SolveBehavior::Solve(oracle_strategy()))),
+            "0385ff157cebf0402f55164b179cac8b8809e14a7bfd9fbfce371e7b89d9fb35",
+        ),
+    ];
+    for (name, defense, attack, flows, force_challenges, fleet, expected) in cells {
+        let mut s = matrix.cell_scenario(&defense, &attack, flows, GOLDEN_SEED);
+        if force_challenges {
+            s.server.backlog = 0;
+        }
+        let fleet_cell = fleet.is_some();
+        if let Some(p) = fleet {
+            s.clients.clear();
+            s.client_fleets = vec![p];
+        }
+        let mut tb = s.build();
+        tb.run_until_secs(timeline.total);
+
+        let bots = tb.bot_fleets().next().expect("bot fleet").stats().clone();
+        let listener = tb.server().listener_stats();
+        match name {
+            "conn-flood-solving" | "replay-flood" => {
+                assert!(bots.solves > 0, "{name}: bots must solve");
+            }
+            "solution-flood" => assert!(listener.verify_failures > 0, "{name}: forgeries verify"),
+            _ => {}
+        }
+        if fleet_cell {
+            let cf = tb
+                .client_fleets()
+                .next()
+                .expect("client fleet")
+                .stats()
+                .clone();
+            assert!(cf.established > 0, "{name}: client fleet establishes");
+            if name == "client-fleet-retransmit" {
+                // Every first SYN is either a bot's or a fleet request's;
+                // anything the listener saw beyond those is a retransmission.
+                assert!(
+                    listener.syns_received > bots.packets_sent + cf.started,
+                    "{name}: {} SYNs received, {} first SYNs sent",
+                    listener.syns_received,
+                    bots.packets_sent + cf.started
+                );
+            }
+        }
+        assert_digest(
+            &format!("fleet_kinds/{name}"),
+            digest_testbed(&tb),
+            expected,
+        );
+    }
+}
