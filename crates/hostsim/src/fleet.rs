@@ -408,8 +408,8 @@ impl BotFleet {
             .seq(self.flows.isn[idx].wrapping_add(1))
             .ack_num(self.flows.server_isn[idx].wrapping_add(1))
             .flags(TcpFlags::ACK)
-            .timestamps(ts_ms(now), self.flows.issued_at[idx])
             .option(TcpOption::Solution(sol))
+            .timestamps(ts_ms(now), self.flows.issued_at[idx])
             .build()
     }
 
@@ -1027,8 +1027,8 @@ impl netsim::Node<TcpSegment> for ClientFleet {
                             .seq(self.flows.isn[idx].wrapping_add(1))
                             .ack_num(self.flows.server_isn[idx].wrapping_add(1))
                             .flags(TcpFlags::ACK)
-                            .timestamps(ts_ms(now), self.flows.issued_at[idx])
                             .option(TcpOption::Solution(sol))
+                            .timestamps(ts_ms(now), self.flows.issued_at[idx])
                             .build();
                         self.send(ctx, idx, ack);
                         self.establish_and_request(ctx, idx);
