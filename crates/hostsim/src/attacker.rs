@@ -18,9 +18,11 @@ use std::net::Ipv4Addr;
 
 use crate::cpu::Cpu;
 use crate::solve::SolveStrategy;
+use netsim::rng::SimRng;
 use netsim::{Context, IfaceId, Packet, SimDuration, SimTime, TimerId};
 use puzzle_core::ConnectionTuple;
 use simmetrics::{IntervalSeries, SampleSeries};
+use tcpstack::client::{CLIENT_MSS, CLIENT_WSCALE};
 use tcpstack::{
     ClientConfig, ClientConn, ClientEvent, SegmentBuilder, SolutionOption, TcpFlags, TcpOption,
     TcpSegment,
@@ -35,6 +37,58 @@ const K_DELAYACK: u64 = 6;
 
 const fn tag(kind: u64, payload: u64) -> u64 {
     (kind << 56) | payload
+}
+
+/// A random spoofed source in the RFC 2544 benchmarking space
+/// (198.18/15), which the Fig. 16 topology never routes.
+pub(crate) fn spoofed_source(rng: &mut SimRng) -> Ipv4Addr {
+    Ipv4Addr::new(
+        198,
+        18 + (rng.below(2) as u8),
+        rng.below(256) as u8,
+        rng.below(256) as u8,
+    )
+}
+
+/// An `hping3`-style flood SYN to `target_port`: random ephemeral source
+/// port, random ISN, an MSS option and nothing else. The caller picks
+/// the source address first.
+pub(crate) fn flood_syn(rng: &mut SimRng, target_port: u16) -> TcpSegment {
+    SegmentBuilder::new(rng.range_u64(1024, 65_536) as u16, target_port)
+        .seq(rng.next_u32())
+        .flags(TcpFlags::SYN)
+        .mss(CLIENT_MSS)
+        .build()
+}
+
+/// A forged solution ACK to `target_port`, drawn in this order: `k`
+/// random proofs of `sol_len` bytes, the source address (`src`), a random
+/// ephemeral port, sequence and ACK number. The TS option echoes the
+/// server's puzzle clock, so only the proofs fail verification.
+pub(crate) fn forged_solution_ack(
+    rng: &mut SimRng,
+    (k, sol_len): (u8, usize),
+    target_port: u16,
+    now: SimTime,
+    src: impl FnOnce(&mut SimRng) -> Ipv4Addr,
+) -> (Ipv4Addr, TcpSegment) {
+    let proofs: Vec<Vec<u8>> = (0..k)
+        .map(|_| {
+            let mut p = vec![0u8; sol_len];
+            rng.fill_bytes(&mut p);
+            p
+        })
+        .collect();
+    let sol = SolutionOption::build(CLIENT_MSS, CLIENT_WSCALE, &proofs, None);
+    let src = src(rng);
+    let ack = SegmentBuilder::new(rng.range_u64(1024, 65_536) as u16, target_port)
+        .seq(rng.next_u32())
+        .ack_num(rng.next_u32())
+        .flags(TcpFlags::ACK)
+        .timestamps(1, tcpstack::puzzle_clock(now))
+        .option(TcpOption::Solution(sol))
+        .build();
+    (src, ack)
 }
 
 /// The attack vector this bot executes.
@@ -215,25 +269,11 @@ impl AttackerHost {
         match self.params.kind.clone() {
             AttackKind::SynFlood { spoof, .. } => {
                 let src = if spoof {
-                    // RFC 2544 benchmarking space: guaranteed unrouted in
-                    // the Fig. 16 topology, like random spoofed sources.
-                    Ipv4Addr::new(
-                        198,
-                        18 + (ctx.rng().below(2) as u8),
-                        ctx.rng().below(256) as u8,
-                        ctx.rng().below(256) as u8,
-                    )
+                    spoofed_source(ctx.rng())
                 } else {
                     self.params.addr
                 };
-                let syn = SegmentBuilder::new(
-                    ctx.rng().range_u64(1024, 65_536) as u16,
-                    self.params.target_port,
-                )
-                .seq(ctx.rng().next_u32())
-                .flags(TcpFlags::SYN)
-                .mss(1460)
-                .build();
+                let syn = flood_syn(ctx.rng(), self.params.target_port);
                 self.send_from(ctx, src, syn);
             }
             AttackKind::ConnFlood {
@@ -242,23 +282,7 @@ impl AttackerHost {
                 ..
             } => {
                 if self.in_flight.len() < concurrency {
-                    let port = self.alloc_port();
-                    let cfg = ClientConfig::new(
-                        self.params.addr,
-                        port,
-                        self.params.target_addr,
-                        self.params.target_port,
-                    );
-                    let isn = ctx.rng().next_u32();
-                    let (conn, syn) = ClientConn::connect(cfg, isn, now);
-                    self.in_flight.insert(
-                        port,
-                        InFlight {
-                            conn,
-                            pending_proofs: None,
-                            deferred_ack: None,
-                        },
-                    );
+                    let (port, syn) = self.open_conn(ctx);
                     ctx.set_timer(conn_timeout, tag(K_CONNTO, port as u64));
                     self.send_from(ctx, self.params.addr, syn);
                 }
@@ -269,26 +293,15 @@ impl AttackerHost {
                 }
             }
             AttackKind::SolutionFlood { k, sol_len, .. } => {
-                let proofs: Vec<Vec<u8>> = (0..k)
-                    .map(|_| {
-                        let mut p = vec![0u8; sol_len];
-                        ctx.rng().fill_bytes(&mut p);
-                        p
-                    })
-                    .collect();
-                let sol = SolutionOption::build(1460, 7, &proofs, None);
-                let now_ts = tcpstack::puzzle_clock(now);
-                let ack = SegmentBuilder::new(
-                    ctx.rng().range_u64(1024, 65_536) as u16,
+                let addr = self.params.addr;
+                let (src, ack) = forged_solution_ack(
+                    ctx.rng(),
+                    (k, sol_len),
                     self.params.target_port,
-                )
-                .seq(ctx.rng().next_u32())
-                .ack_num(ctx.rng().next_u32())
-                .flags(TcpFlags::ACK)
-                .timestamps(1, now_ts)
-                .option(TcpOption::Solution(sol))
-                .build();
-                self.send_from(ctx, self.params.addr, ack);
+                    now,
+                    |_| addr,
+                );
+                self.send_from(ctx, src, ack);
             }
         }
     }
@@ -302,9 +315,9 @@ impl AttackerHost {
         }
     }
 
-    /// Starts the single legitimate connection a replay attacker uses to
-    /// mint its captured solution.
-    fn start_capture_conn(&mut self, ctx: &mut Context<'_, TcpSegment>) {
+    /// Opens a connection from the next free port. Returns the port and
+    /// the SYN to send.
+    fn open_conn(&mut self, ctx: &mut Context<'_, TcpSegment>) -> (u16, TcpSegment) {
         let port = self.alloc_port();
         let cfg = ClientConfig::new(
             self.params.addr,
@@ -314,15 +327,13 @@ impl AttackerHost {
         );
         let isn = ctx.rng().next_u32();
         let (conn, syn) = ClientConn::connect(cfg, isn, ctx.now());
-        self.in_flight.insert(
-            port,
-            InFlight {
-                conn,
-                pending_proofs: None,
-                deferred_ack: None,
-            },
-        );
-        self.send_from(ctx, self.params.addr, syn);
+        let entry = InFlight {
+            conn,
+            pending_proofs: None,
+            deferred_ack: None,
+        };
+        self.in_flight.insert(port, entry);
+        (port, syn)
     }
 
     /// The configured ACK lag for connection floods (zero otherwise).
@@ -453,7 +464,10 @@ impl netsim::Node<TcpSegment> for AttackerHost {
             K_START => {
                 self.active = true;
                 if matches!(self.params.kind, AttackKind::ReplayFlood { .. }) {
-                    self.start_capture_conn(ctx);
+                    // The one legitimate connection that mints the
+                    // solution to replay.
+                    let (_, syn) = self.open_conn(ctx);
+                    self.send_from(ctx, self.params.addr, syn);
                 }
                 let first = Self::jittered_interval(self.rate(), ctx.rng());
                 ctx.set_timer(first, tag(K_SEND, 0));

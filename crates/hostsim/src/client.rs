@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use crate::cpu::Cpu;
 use crate::solve::SolveStrategy;
-use netsim::{Context, IfaceId, Packet, SimDuration, SimTime, TimerId};
+use netsim::{Context, IfaceId, Packet, SimDuration, TimerId};
 use puzzle_core::ConnectionTuple;
 use simmetrics::{IntervalSeries, SampleSeries};
 use tcpstack::{ClientConfig, ClientConn, ClientEvent, TcpSegment};
@@ -246,13 +246,12 @@ impl ClientHost {
         self.send_seg(ctx, syn);
     }
 
-    fn note_established(&mut self, port: u16, now: SimTime) {
+    fn note_established(&mut self, port: u16) {
         if let Some(entry) = self.conns.get(&port) {
             self.metrics.established += 1;
             if let Some(d) = entry.conn.connection_time() {
                 self.metrics.requests[entry.record].connect_secs = Some(d.as_secs_f64());
             }
-            let _ = now;
         }
     }
 
@@ -293,7 +292,7 @@ impl ClientHost {
         for ev in events {
             match ev {
                 ClientEvent::Established => {
-                    self.note_established(port, now);
+                    self.note_established(port);
                     self.send_request_payload(ctx, port);
                 }
                 ClientEvent::Challenged {
@@ -334,7 +333,7 @@ impl ClientHost {
                                 let ack = entry.conn.acknowledge_plain(now);
                                 self.send_seg(ctx, ack);
                             }
-                            self.note_established(port, now);
+                            self.note_established(port);
                             self.send_request_payload(ctx, port);
                         }
                     }
@@ -415,7 +414,7 @@ impl netsim::Node<TcpSegment> for ClientHost {
                     if let Some(proofs) = entry.pending_proofs.take() {
                         let ack = entry.conn.provide_solution(now, &proofs);
                         self.send_seg(ctx, ack);
-                        self.note_established(port, now);
+                        self.note_established(port);
                         self.send_request_payload(ctx, port);
                     }
                 }

@@ -15,19 +15,28 @@
 //! PORTS_PER_ADDR`, so one prefix route steers the whole fleet and a
 //! million flows fit in ~21 addresses.
 //!
-//! Fidelity: a fleet flow speaks exactly the same handshake dialect as
-//! the per-host actors (same SYN options, same plain/solution ACKs, the
-//! same solve-latency model of `hashes / hash_rate` per single-threaded
-//! flow), so servers cannot tell a fleet from the equivalent host
-//! population — only the simulator's cost per endpoint changes.
+//! Fidelity: a fleet flow speaks the per-host actors' handshake by
+//! construction. Each flow keeps a `tcpstack::FlowRecord` in the flat
+//! table, and every protocol decision — accepting a SYN-ACK, the echoed
+//! timestamp, each SYN, ACK, solution ACK and request, the SYN
+//! retransmission schedule — is a call into `tcpstack::client`'s core,
+//! the same one `ClientConn` runs. The flood segments no client sends
+//! (spoofed SYNs, forged solutions) come from the builders the per-host
+//! bots use. The solve-latency model is the hosts' too: `hashes /
+//! hash_rate` per single-threaded flow. So servers cannot tell a fleet
+//! from the equivalent host population — only the simulator's cost per
+//! endpoint changes. `tests/client_differential.rs` checks the bytes.
 
 use std::net::Ipv4Addr;
 
+use crate::attacker::{flood_syn, forged_solution_ack, spoofed_source};
+use crate::client::SolveBehavior;
 use crate::solve::SolveStrategy;
 use netsim::{Context, IfaceId, Packet, SimDuration, SimTime, TimerId};
 use puzzle_core::ConnectionTuple;
 use simmetrics::IntervalSeries;
-use tcpstack::{ChallengeOption, SegmentBuilder, SolutionOption, TcpFlags, TcpOption, TcpSegment};
+use tcpstack::client::{syn_retransmit, SYN_TIMEOUT};
+use tcpstack::{ChallengeOption, FlowRecord, SynAck, TcpFlags, TcpSegment};
 
 /// First port a fleet flow uses on its address.
 pub const PORT_BASE: u16 = 1024;
@@ -66,25 +75,11 @@ const fn tag_idx(t: u64) -> u32 {
     (t & 0xff_ffff) as u32
 }
 
-/// Millisecond timestamp clock (mirrors the stack's client side), kept
-/// at full `u64` width internally so it never wraps over a simulation's
-/// lifetime. The *wire* TSval is its low 32 bits ([`ts_ms`]), which wrap
-/// every 2³² ms ≈ 49.7 days — RFC 7323 semantics, so consumers must
-/// compare TSvals with [`tsval_newer_eq`], never numerically.
-fn ts_ms64(now: SimTime) -> u64 {
-    now.as_nanos() / 1_000_000
-}
-
-/// The 32-bit wire TSval for an instant: the internal millisecond clock
-/// reduced modulo 2³².
-fn ts_ms(now: SimTime) -> u32 {
-    ts_ms64(now) as u32
-}
-
 /// RFC 7323-style wraparound-aware TSval ordering: `a` is at-or-after
 /// `b` on the 32-bit circle (i.e. within half the space ahead of it).
 /// This is the comparison TSval consumers must use — after the wire
-/// clock wraps, a numerically *smaller* TSval is the newer one.
+/// clock (`tcpstack::client::ts_ms`) wraps every 2³² ms ≈ 49.7 days, a
+/// numerically *smaller* TSval is the newer one.
 pub fn tsval_newer_eq(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) < 1 << 31
 }
@@ -129,35 +124,37 @@ enum FlowState {
 }
 
 /// Flat per-flow state: parallel vectors indexed by flow id. A slot is
-/// 4 + 4 + 4 + 1 bytes of fixed state plus two side vectors (pending
-/// proofs, deferred segment) that are empty except mid-handshake.
+/// 1 + 4 + 12 bytes of fixed state plus a side vector of pending proofs
+/// that is empty except mid-solve.
 #[derive(Debug, Default)]
 struct FlowTable {
     state: Vec<FlowState>,
     /// Generation counter: bumped on every release so stale timers
     /// (reaped flow, reused slot) can be recognized and dropped.
     epoch: Vec<u32>,
-    isn: Vec<u32>,
-    server_isn: Vec<u32>,
-    issued_at: Vec<u32>,
+    /// Each flow's handshake record, which `tcpstack::client` reads and
+    /// updates.
+    rec: Vec<FlowRecord>,
     /// Proofs awaiting the solve-completion timer.
     pending_proofs: Vec<Vec<Vec<u8>>>,
-    /// ACK held for the delayed-ACK timer.
-    deferred: Vec<Option<TcpSegment>>,
     /// Idle slots (stack).
     free: Vec<u32>,
 }
 
 impl FlowTable {
+    /// `flows` idle flows; panics if that is zero or overflows a fleet's
+    /// `/16` block.
     fn new(flows: usize) -> Self {
+        assert!(flows > 0, "fleet needs at least one flow");
+        assert!(
+            flows <= PORTS_PER_ADDR * 255,
+            "fleet of {flows} flows overflows its /16 block"
+        );
         FlowTable {
             state: vec![FlowState::Idle; flows],
             epoch: vec![0; flows],
-            isn: vec![0; flows],
-            server_isn: vec![0; flows],
-            issued_at: vec![0; flows],
+            rec: vec![FlowRecord::default(); flows],
             pending_proofs: vec![Vec::new(); flows],
-            deferred: vec![None; flows],
             free: (0..flows as u32).rev().collect(),
         }
     }
@@ -166,15 +163,17 @@ impl FlowTable {
         self.state.len()
     }
 
-    fn active(&self) -> usize {
-        self.state.len() - self.free.len()
+    /// The busy flow of `base`'s block that `pkt` is addressed to.
+    fn busy_flow(&self, base: Ipv4Addr, pkt: &Packet<TcpSegment>) -> Option<usize> {
+        let idx = flow_index(base, self.len(), pkt.dst, pkt.payload.dst_port)?;
+        (self.state[idx] != FlowState::Idle).then_some(idx)
     }
 
     /// Claims an idle flow, if any.
     fn claim(&mut self, isn: u32) -> Option<usize> {
         let idx = self.free.pop()? as usize;
         self.state[idx] = FlowState::SynSent;
-        self.isn[idx] = isn;
+        self.rec[idx] = FlowRecord::new(isn);
         idx.into()
     }
 
@@ -184,8 +183,33 @@ impl FlowTable {
         self.state[idx] = FlowState::Idle;
         self.epoch[idx] = self.epoch[idx].wrapping_add(1);
         self.pending_proofs[idx].clear();
-        self.deferred[idx] = None;
         self.free.push(idx as u32);
+    }
+
+    /// Solves `copt` for flow `idx` (connection `tuple`) single-threaded
+    /// at `hash_rate`: parks the proofs and arms the solve-completion
+    /// timer, whose firing sends the solution ACK. The latency is the
+    /// whole cost model.
+    fn begin_solve(
+        &mut self,
+        ctx: &mut Context<'_, TcpSegment>,
+        idx: usize,
+        tuple: &ConnectionTuple,
+        strategy: &SolveStrategy,
+        copt: &ChallengeOption,
+        hash_rate: f64,
+    ) {
+        let solved = strategy.solve(tuple, copt, self.rec[idx].issued_at, ctx.rng());
+        let latency = SimDuration::from_secs_f64(solved.hashes as f64 / hash_rate);
+        self.pending_proofs[idx] = solved.proofs;
+        self.state[idx] = FlowState::Solving;
+        ctx.set_timer(latency, tag(K_SOLVE, self.epoch[idx], idx as u32));
+    }
+
+    /// Flow `idx`'s solution ACK, carrying the proofs its solve parked.
+    fn solution_ack(&mut self, idx: usize, ports: (u16, u16), now: SimTime) -> TcpSegment {
+        let proofs = std::mem::take(&mut self.pending_proofs[idx]);
+        self.rec[idx].build_solution_ack(ports, now, &proofs, true)
     }
 
     /// Whether timer tag `t` still refers to the flow's current tenancy.
@@ -335,12 +359,6 @@ impl BotFleet {
     ///
     /// Panics if `flows` is zero or overflows the `/16` address block.
     pub fn new(params: BotFleetParams) -> Self {
-        assert!(params.flows > 0, "fleet needs at least one flow");
-        assert!(
-            params.flows <= PORTS_PER_ADDR * 255,
-            "fleet of {} flows overflows its /16 block",
-            params.flows
-        );
         let rate = params.attack.rate();
         BotFleet {
             flows: FlowTable::new(params.flows),
@@ -363,11 +381,6 @@ impl BotFleet {
         self.flows.len()
     }
 
-    /// Flows currently mid-attempt or holding a connection.
-    pub fn active_flows(&self) -> usize {
-        self.flows.active()
-    }
-
     /// Collected counters.
     pub fn stats(&self) -> &BotFleetStats {
         &self.stats
@@ -384,54 +397,26 @@ impl BotFleet {
         ctx.send(IfaceId(0), Packet::new(src, self.params.target_addr, seg));
     }
 
-    fn build_syn(&self, idx: usize, now: SimTime) -> TcpSegment {
-        SegmentBuilder::new(flow_port(idx), self.params.target_port)
-            .seq(self.flows.isn[idx])
-            .flags(TcpFlags::SYN)
-            .mss(1460)
-            .window_scale(7)
-            .timestamps(ts_ms(now), 0)
-            .build()
+    /// Flow `idx`'s (our port, server port).
+    fn ports(&self, idx: usize) -> (u16, u16) {
+        (flow_port(idx), self.params.target_port)
     }
 
-    fn build_plain_ack(&self, idx: usize) -> TcpSegment {
-        SegmentBuilder::new(flow_port(idx), self.params.target_port)
-            .seq(self.flows.isn[idx].wrapping_add(1))
-            .ack_num(self.flows.server_isn[idx].wrapping_add(1))
-            .flags(TcpFlags::ACK)
-            .build()
+    /// Sends flow `idx`'s plain ACK and holds the connection.
+    fn hold(&mut self, ctx: &mut Context<'_, TcpSegment>, idx: usize) {
+        self.flows.state[idx] = FlowState::Holding;
+        let ack = self.flows.rec[idx].build_plain_ack(self.ports(idx));
+        self.send(ctx, flow_addr(self.params.addr_base, idx), ack);
     }
 
-    fn build_solution_ack(&self, idx: usize, now: SimTime, proofs: &[Vec<u8>]) -> TcpSegment {
-        let sol = SolutionOption::build(1460, 7, proofs, None);
-        SegmentBuilder::new(flow_port(idx), self.params.target_port)
-            .seq(self.flows.isn[idx].wrapping_add(1))
-            .ack_num(self.flows.server_isn[idx].wrapping_add(1))
-            .flags(TcpFlags::ACK)
-            .option(TcpOption::Solution(sol))
-            .timestamps(ts_ms(now), self.flows.issued_at[idx])
-            .build()
-    }
-
-    /// Starts one connection attempt on a free flow.
-    fn start_attempt(
-        &mut self,
-        ctx: &mut Context<'_, TcpSegment>,
-        conn_timeout: SimDuration,
-    ) -> Option<usize> {
+    /// Opens a connection attempt on a free flow: draws its ISN and sends
+    /// the SYN. `None` when every flow is busy.
+    fn open_flow(&mut self, ctx: &mut Context<'_, TcpSegment>) -> Option<usize> {
         let isn = ctx.rng().next_u32();
-        let Some(idx) = self.flows.claim(isn) else {
-            self.stats.window_full += 1;
-            return None;
-        };
+        let idx = self.flows.claim(isn)?;
         self.stats.attempts += 1;
-        let syn = self.build_syn(idx, ctx.now());
-        let src = flow_addr(self.params.addr_base, idx);
-        self.send(ctx, src, syn);
-        ctx.set_timer(
-            conn_timeout,
-            tag(K_CONNTO, self.flows.epoch[idx], idx as u32),
-        );
+        let syn = self.flows.rec[idx].build_syn(self.ports(idx), ctx.now(), true);
+        self.send(ctx, flow_addr(self.params.addr_base, idx), syn);
         Some(idx)
     }
 
@@ -458,35 +443,27 @@ impl BotFleet {
                 sol_len: *sol_len,
             },
         };
+        // Unspoofed floods send from a random flow's address.
+        let (base, flows) = (self.params.addr_base, self.flows.len() as u64);
+        let flow_src = |rng: &mut netsim::rng::SimRng| flow_addr(base, rng.below(flows) as usize);
         for _ in 0..self.batch {
             match plan {
                 Plan::Syn { spoof } => {
                     let src = if spoof {
-                        Ipv4Addr::new(
-                            198,
-                            18 + (ctx.rng().below(2) as u8),
-                            ctx.rng().below(256) as u8,
-                            ctx.rng().below(256) as u8,
-                        )
+                        spoofed_source(ctx.rng())
                     } else {
-                        flow_addr(
-                            self.params.addr_base,
-                            ctx.rng().below(self.flows.len() as u64) as usize,
-                        )
+                        flow_src(ctx.rng())
                     };
-                    let syn = SegmentBuilder::new(
-                        ctx.rng().range_u64(1024, 65_536) as u16,
-                        self.params.target_port,
-                    )
-                    .seq(ctx.rng().next_u32())
-                    .flags(TcpFlags::SYN)
-                    .mss(1460)
-                    .build();
+                    let syn = flood_syn(ctx.rng(), self.params.target_port);
                     self.send(ctx, src, syn);
                 }
-                Plan::Conn { conn_timeout } => {
-                    self.start_attempt(ctx, conn_timeout);
-                }
+                Plan::Conn { conn_timeout } => match self.open_flow(ctx) {
+                    Some(idx) => {
+                        let epoch = self.flows.epoch[idx];
+                        ctx.set_timer(conn_timeout, tag(K_CONNTO, epoch, idx as u32));
+                    }
+                    None => self.stats.window_full += 1,
+                },
                 Plan::Replay => {
                     if !self.captured.is_empty() {
                         self.replay_cursor = (self.replay_cursor + 1) % self.captured.len();
@@ -495,28 +472,14 @@ impl BotFleet {
                     }
                 }
                 Plan::Solution { k, sol_len } => {
-                    let proofs: Vec<Vec<u8>> = (0..k)
-                        .map(|_| {
-                            let mut p = vec![0u8; sol_len];
-                            ctx.rng().fill_bytes(&mut p);
-                            p
-                        })
-                        .collect();
-                    let sol = SolutionOption::build(1460, 7, &proofs, None);
-                    let src = flow_addr(
-                        self.params.addr_base,
-                        ctx.rng().below(self.flows.len() as u64) as usize,
-                    );
-                    let ack = SegmentBuilder::new(
-                        ctx.rng().range_u64(1024, 65_536) as u16,
+                    let now = ctx.now();
+                    let (src, ack) = forged_solution_ack(
+                        ctx.rng(),
+                        (k, sol_len),
                         self.params.target_port,
-                    )
-                    .seq(ctx.rng().next_u32())
-                    .ack_num(ctx.rng().next_u32())
-                    .flags(TcpFlags::ACK)
-                    .timestamps(1, tcpstack::puzzle_clock(ctx.now()))
-                    .option(TcpOption::Solution(sol))
-                    .build();
+                        now,
+                        flow_src,
+                    );
                     self.send(ctx, src, ack);
                 }
             }
@@ -531,83 +494,50 @@ impl BotFleet {
     }
 
     fn on_synack(&mut self, ctx: &mut Context<'_, TcpSegment>, idx: usize, seg: &TcpSegment) {
-        if self.flows.state[idx] != FlowState::SynSent
-            || seg.ack != self.flows.isn[idx].wrapping_add(1)
-        {
+        if self.flows.state[idx] != FlowState::SynSent {
             return;
         }
-        self.flows.server_isn[idx] = seg.seq;
-        let challenge = seg.challenge().cloned();
-        // Decide before mutating: clone only the solve strategy, and
-        // only on the (expensive anyway) solving path.
-        enum Action {
-            Solve(SolveStrategy),
-            PlainAck { delay: SimDuration },
-            Ignore,
-        }
-        let action = match (&self.params.attack, &challenge) {
-            (FleetAttack::ConnFlood { solve: Some(s), .. }, Some(_))
-            | (FleetAttack::ReplayFlood { solve: s, .. }, Some(_)) => Action::Solve(s.clone()),
+        let Some(synack) = self.flows.rec[idx].on_synack(seg) else {
+            return;
+        };
+        let delay = match (&self.params.attack, synack) {
+            (
+                FleetAttack::ConnFlood {
+                    solve: Some(strategy),
+                    ..
+                }
+                | FleetAttack::ReplayFlood {
+                    solve: strategy, ..
+                },
+                SynAck::Challenged(copt),
+            ) => {
+                let tuple = ConnectionTuple::new(
+                    flow_addr(self.params.addr_base, idx),
+                    flow_port(idx),
+                    self.params.target_addr,
+                    self.params.target_port,
+                    0,
+                );
+                let hash_rate = self.params.hash_rate;
+                self.flows
+                    .begin_solve(ctx, idx, &tuple, strategy, copt, hash_rate);
+                self.stats.solves += 1;
+                return;
+            }
             // Stock flooder (or no challenge demanded): complete the
             // handshake with a plain ACK after the tool's lag.
-            (FleetAttack::ConnFlood { ack_delay, .. }, _) => Action::PlainAck { delay: *ack_delay },
+            (FleetAttack::ConnFlood { ack_delay, .. }, _) => *ack_delay,
             // A replay capture got no challenge: just hold the connection.
-            (FleetAttack::ReplayFlood { .. }, None) => Action::PlainAck {
-                delay: SimDuration::ZERO,
-            },
-            (FleetAttack::SynFlood { .. } | FleetAttack::SolutionFlood { .. }, _) => Action::Ignore,
+            (FleetAttack::ReplayFlood { .. }, SynAck::Plain) => SimDuration::ZERO,
+            (FleetAttack::SynFlood { .. } | FleetAttack::SolutionFlood { .. }, _) => return,
         };
-        match action {
-            Action::Solve(strategy) => {
-                let copt = challenge.expect("solve action implies challenge");
-                self.begin_solve(ctx, idx, &copt, seg, &strategy);
-            }
-            Action::PlainAck { delay } => {
-                let ack = self.build_plain_ack(idx);
-                self.stats.believed_established += 1;
-                if delay > SimDuration::ZERO {
-                    self.flows.deferred[idx] = Some(ack);
-                    self.flows.state[idx] = FlowState::AckPending;
-                    ctx.set_timer(delay, tag(K_DELAYACK, self.flows.epoch[idx], idx as u32));
-                } else {
-                    self.flows.state[idx] = FlowState::Holding;
-                    let src = flow_addr(self.params.addr_base, idx);
-                    self.send(ctx, src, ack);
-                }
-            }
-            Action::Ignore => {}
+        self.stats.believed_established += 1;
+        if delay > SimDuration::ZERO {
+            self.flows.state[idx] = FlowState::AckPending;
+            ctx.set_timer(delay, tag(K_DELAYACK, self.flows.epoch[idx], idx as u32));
+        } else {
+            self.hold(ctx, idx);
         }
-    }
-
-    fn begin_solve(
-        &mut self,
-        ctx: &mut Context<'_, TcpSegment>,
-        idx: usize,
-        copt: &ChallengeOption,
-        seg: &TcpSegment,
-        solve: &SolveStrategy,
-    ) {
-        let issued_at = seg
-            .timestamps()
-            .map(|(tsval, _)| tsval)
-            .or(copt.timestamp)
-            .unwrap_or(0);
-        self.flows.issued_at[idx] = issued_at;
-        let tuple = ConnectionTuple::new(
-            flow_addr(self.params.addr_base, idx),
-            flow_port(idx),
-            self.params.target_addr,
-            self.params.target_port,
-            0,
-        );
-        let solved = solve.solve(&tuple, copt, issued_at, ctx.rng());
-        // Each flow solves single-threaded at the fleet's per-flow hash
-        // rate; the latency is the whole cost model.
-        let latency = SimDuration::from_secs_f64(solved.hashes as f64 / self.params.hash_rate);
-        self.flows.pending_proofs[idx] = solved.proofs;
-        self.flows.state[idx] = FlowState::Solving;
-        self.stats.solves += 1;
-        ctx.set_timer(latency, tag(K_SOLVE, self.flows.epoch[idx], idx as u32));
     }
 }
 
@@ -622,17 +552,9 @@ impl netsim::Node<TcpSegment> for BotFleet {
         _iface: IfaceId,
         pkt: Packet<TcpSegment>,
     ) {
-        let Some(idx) = flow_index(
-            self.params.addr_base,
-            self.flows.len(),
-            pkt.dst,
-            pkt.payload.dst_port,
-        ) else {
+        let Some(idx) = self.flows.busy_flow(self.params.addr_base, &pkt) else {
             return;
         };
-        if self.flows.state[idx] == FlowState::Idle {
-            return;
-        }
         let seg = &pkt.payload;
         if seg.flags.contains(TcpFlags::RST) {
             self.stats.resets += 1;
@@ -675,13 +597,7 @@ impl netsim::Node<TcpSegment> for BotFleet {
             K_CAPTURE => {
                 // One capture handshake per timer; the slot choice is
                 // arbitrary, so take whichever the free list hands out.
-                let isn = ctx.rng().next_u32();
-                if let Some(idx) = self.flows.claim(isn) {
-                    self.stats.attempts += 1;
-                    let syn = self.build_syn(idx, now);
-                    let src = flow_addr(self.params.addr_base, idx);
-                    self.send(ctx, src, syn);
-                }
+                self.open_flow(ctx);
             }
             K_CONNTO => {
                 if let Some(idx) = self.flows.tag_live(t) {
@@ -691,18 +607,15 @@ impl netsim::Node<TcpSegment> for BotFleet {
             }
             K_DELAYACK => {
                 if let Some(idx) = self.flows.tag_live(t) {
-                    if let Some(ack) = self.flows.deferred[idx].take() {
-                        self.flows.state[idx] = FlowState::Holding;
-                        let src = flow_addr(self.params.addr_base, idx);
-                        self.send(ctx, src, ack);
+                    if self.flows.state[idx] == FlowState::AckPending {
+                        self.hold(ctx, idx);
                     }
                 }
             }
             K_SOLVE => {
                 if let Some(idx) = self.flows.tag_live(t) {
                     if self.flows.state[idx] == FlowState::Solving {
-                        let proofs = std::mem::take(&mut self.flows.pending_proofs[idx]);
-                        let ack = self.build_solution_ack(idx, now, &proofs);
+                        let ack = self.flows.solution_ack(idx, self.ports(idx), now);
                         if matches!(self.params.attack, FleetAttack::ReplayFlood { .. }) {
                             self.captured
                                 .push((flow_addr(self.params.addr_base, idx), ack.clone()));
@@ -739,7 +652,7 @@ pub struct ClientFleetParams {
     /// Bytes requested per connection.
     pub request_size: usize,
     /// Whether the population solves challenges.
-    pub behavior: crate::client::SolveBehavior,
+    pub behavior: SolveBehavior,
     /// Per-flow SHA-256 throughput.
     pub hash_rate: f64,
     /// Give-up deadline per request.
@@ -752,7 +665,7 @@ impl ClientFleetParams {
         addr_base: Ipv4Addr,
         server_addr: Ipv4Addr,
         n: usize,
-        behavior: crate::client::SolveBehavior,
+        behavior: SolveBehavior,
     ) -> Self {
         ClientFleetParams {
             addr_base,
@@ -794,14 +707,9 @@ pub struct ClientFleet {
     stats: ClientFleetStats,
     /// Application bytes received per 1 s bin (the goodput series).
     bytes_rx: IntervalSeries,
-    /// Requests completed per 1 s bin.
-    completions: IntervalSeries,
-    /// SYN retransmissions left, per flow.
+    /// SYN retransmissions sent, per flow.
     retries: Vec<u8>,
 }
-
-const FLEET_SYN_RETRIES: u8 = 3;
-const FLEET_SYN_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
 impl ClientFleet {
     /// Builds a client fleet.
@@ -810,17 +718,10 @@ impl ClientFleet {
     ///
     /// Panics if `flows` is zero or overflows the `/16` block.
     pub fn new(params: ClientFleetParams) -> Self {
-        assert!(params.flows > 0, "fleet needs at least one flow");
-        assert!(
-            params.flows <= PORTS_PER_ADDR * 255,
-            "fleet of {} flows overflows its /16 block",
-            params.flows
-        );
         ClientFleet {
             flows: FlowTable::new(params.flows),
             stats: ClientFleetStats::default(),
             bytes_rx: IntervalSeries::new(1.0),
-            completions: IntervalSeries::new(1.0),
             retries: vec![0; params.flows],
             params,
         }
@@ -841,24 +742,14 @@ impl ClientFleet {
         &self.bytes_rx
     }
 
-    /// Requests completed per second, binned.
-    pub fn completion_series(&self) -> &IntervalSeries {
-        &self.completions
-    }
-
     fn send(&self, ctx: &mut Context<'_, TcpSegment>, idx: usize, seg: TcpSegment) {
         let src = flow_addr(self.params.addr_base, idx);
         ctx.send(IfaceId(0), Packet::new(src, self.params.server_addr, seg));
     }
 
-    fn build_syn(&self, idx: usize, now: SimTime) -> TcpSegment {
-        SegmentBuilder::new(flow_port(idx), self.params.server_port)
-            .seq(self.flows.isn[idx])
-            .flags(TcpFlags::SYN)
-            .mss(1460)
-            .window_scale(7)
-            .timestamps(ts_ms(now), 0)
-            .build()
+    /// Flow `idx`'s (our port, server port).
+    fn ports(&self, idx: usize) -> (u16, u16) {
+        (flow_port(idx), self.params.server_port)
     }
 
     fn start_request(&mut self, ctx: &mut Context<'_, TcpSegment>) {
@@ -869,21 +760,19 @@ impl ClientFleet {
         };
         self.stats.started += 1;
         self.retries[idx] = 0;
-        let now = ctx.now();
-        let syn = self.build_syn(idx, now);
+        let syn = self.flows.rec[idx].build_syn(self.ports(idx), ctx.now(), true);
         self.send(ctx, idx, syn);
         let epoch = self.flows.epoch[idx];
-        ctx.set_timer(FLEET_SYN_TIMEOUT, tag(K_RETX, epoch, idx as u32));
+        ctx.set_timer(SYN_TIMEOUT, tag(K_RETX, epoch, idx as u32));
         ctx.set_timer(
             self.params.request_timeout,
             tag(K_CONNTO, epoch, idx as u32),
         );
     }
 
-    fn finish(&mut self, idx: usize, now: SimTime, completed: bool) {
+    fn finish(&mut self, idx: usize, completed: bool) {
         if completed {
             self.stats.completed += 1;
-            self.completions.incr(now.as_secs_f64());
         } else {
             self.stats.failed += 1;
         }
@@ -895,12 +784,7 @@ impl ClientFleet {
         self.stats.established += 1;
         let size = self.params.request_size;
         let payload = format!("GET /gettext/{size}").into_bytes();
-        let req = SegmentBuilder::new(flow_port(idx), self.params.server_port)
-            .seq(self.flows.isn[idx].wrapping_add(1))
-            .ack_num(self.flows.server_isn[idx].wrapping_add(1))
-            .flags(TcpFlags::ACK | TcpFlags::PSH)
-            .payload(payload)
-            .build();
+        let req = self.flows.rec[idx].build_request(self.ports(idx), payload);
         self.send(ctx, idx, req);
     }
 }
@@ -917,38 +801,21 @@ impl netsim::Node<TcpSegment> for ClientFleet {
         _iface: IfaceId,
         pkt: Packet<TcpSegment>,
     ) {
-        let Some(idx) = flow_index(
-            self.params.addr_base,
-            self.flows.len(),
-            pkt.dst,
-            pkt.payload.dst_port,
-        ) else {
+        let Some(idx) = self.flows.busy_flow(self.params.addr_base, &pkt) else {
             return;
         };
-        if self.flows.state[idx] == FlowState::Idle {
-            return;
-        }
         let now = ctx.now();
         let seg = &pkt.payload;
         if seg.flags.contains(TcpFlags::RST) {
-            self.finish(idx, now, false);
+            self.finish(idx, false);
             return;
         }
         if seg.flags.contains(TcpFlags::SYN | TcpFlags::ACK) {
-            if self.flows.state[idx] != FlowState::SynSent
-                || seg.ack != self.flows.isn[idx].wrapping_add(1)
-            {
+            if self.flows.state[idx] != FlowState::SynSent {
                 return;
             }
-            self.flows.server_isn[idx] = seg.seq;
-            match (seg.challenge().cloned(), self.params.behavior.clone()) {
-                (Some(copt), crate::client::SolveBehavior::Solve(strategy)) => {
-                    let issued_at = seg
-                        .timestamps()
-                        .map(|(tsval, _)| tsval)
-                        .or(copt.timestamp)
-                        .unwrap_or(0);
-                    self.flows.issued_at[idx] = issued_at;
+            match (self.flows.rec[idx].on_synack(seg), &self.params.behavior) {
+                (Some(SynAck::Challenged(copt)), SolveBehavior::Solve(strategy)) => {
                     let tuple = ConnectionTuple::new(
                         flow_addr(self.params.addr_base, idx),
                         flow_port(idx),
@@ -956,25 +823,19 @@ impl netsim::Node<TcpSegment> for ClientFleet {
                         self.params.server_port,
                         0,
                     );
-                    let solved = strategy.solve(&tuple, &copt, issued_at, ctx.rng());
-                    let latency =
-                        SimDuration::from_secs_f64(solved.hashes as f64 / self.params.hash_rate);
-                    self.flows.pending_proofs[idx] = solved.proofs;
-                    self.flows.state[idx] = FlowState::Solving;
+                    let hash_rate = self.params.hash_rate;
+                    self.flows
+                        .begin_solve(ctx, idx, &tuple, strategy, copt, hash_rate);
                     self.stats.solves += 1;
-                    ctx.set_timer(latency, tag(K_SOLVE, self.flows.epoch[idx], idx as u32));
                 }
-                (Some(_), crate::client::SolveBehavior::Ignore) | (None, _) => {
-                    // Plain ACK (non-adopter answers a challenge with
-                    // one too), then the request rides immediately.
-                    let ack = SegmentBuilder::new(flow_port(idx), self.params.server_port)
-                        .seq(self.flows.isn[idx].wrapping_add(1))
-                        .ack_num(self.flows.server_isn[idx].wrapping_add(1))
-                        .flags(TcpFlags::ACK)
-                        .build();
+                // Plain ACK (non-adopter answers a challenge with one
+                // too), then the request rides immediately.
+                (Some(_), _) => {
+                    let ack = self.flows.rec[idx].build_plain_ack(self.ports(idx));
                     self.send(ctx, idx, ack);
                     self.establish_and_request(ctx, idx);
                 }
+                (None, _) => {}
             }
             return;
         }
@@ -984,7 +845,7 @@ impl netsim::Node<TcpSegment> for ClientFleet {
             self.bytes_rx
                 .add(now.as_secs_f64(), seg.payload.len() as f64);
             if seg.flags.contains(TcpFlags::FIN) {
-                self.finish(idx, now, true);
+                self.finish(idx, true);
             }
         }
     }
@@ -1002,34 +863,25 @@ impl netsim::Node<TcpSegment> for ClientFleet {
                     if self.flows.state[idx] != FlowState::SynSent {
                         return;
                     }
-                    if self.retries[idx] >= FLEET_SYN_RETRIES {
-                        self.finish(idx, now, false);
+                    let Some(timeout) = syn_retransmit(self.retries[idx].into()) else {
+                        self.finish(idx, false);
                         return;
-                    }
+                    };
                     self.retries[idx] += 1;
-                    let syn = self.build_syn(idx, now);
+                    let syn = self.flows.rec[idx].build_syn(self.ports(idx), now, true);
                     self.send(ctx, idx, syn);
-                    let backoff = FLEET_SYN_TIMEOUT * (1u64 << self.retries[idx]);
-                    ctx.set_timer(backoff, tag(K_RETX, self.flows.epoch[idx], idx as u32));
+                    ctx.set_timer(timeout, tag(K_RETX, self.flows.epoch[idx], idx as u32));
                 }
             }
             K_CONNTO => {
                 if let Some(idx) = self.flows.tag_live(t) {
-                    self.finish(idx, now, false);
+                    self.finish(idx, false);
                 }
             }
             K_SOLVE => {
                 if let Some(idx) = self.flows.tag_live(t) {
                     if self.flows.state[idx] == FlowState::Solving {
-                        let proofs = std::mem::take(&mut self.flows.pending_proofs[idx]);
-                        let sol = SolutionOption::build(1460, 7, &proofs, None);
-                        let ack = SegmentBuilder::new(flow_port(idx), self.params.server_port)
-                            .seq(self.flows.isn[idx].wrapping_add(1))
-                            .ack_num(self.flows.server_isn[idx].wrapping_add(1))
-                            .flags(TcpFlags::ACK)
-                            .option(TcpOption::Solution(sol))
-                            .timestamps(ts_ms(now), self.flows.issued_at[idx])
-                            .build();
+                        let ack = self.flows.solution_ack(idx, self.ports(idx), now);
                         self.send(ctx, idx, ack);
                         self.establish_and_request(ctx, idx);
                     }
@@ -1078,7 +930,6 @@ mod tests {
         let b = t.claim(2).unwrap();
         let c = t.claim(3).unwrap();
         assert_eq!(t.claim(4), None, "window exhausted");
-        assert_eq!(t.active(), 3);
         let tag_a = tag(K_CONNTO, t.epoch[a], a as u32);
         t.release(b);
         assert_eq!(t.tag_live(tag_a), Some(a));
@@ -1137,14 +988,14 @@ mod tests {
 
     #[test]
     fn ts_clock_survives_the_u32_millisecond_wrap() {
-        // 2^32 ms ≈ 49.7 sim-days. The internal clock must keep counting
-        // (never wrap), while the wire TSval wraps modulo 2^32 and stays
+        // 2^32 ms ≈ 49.7 sim-days. The simulation clock keeps counting
+        // (it is 64-bit), while the wire TSval wraps modulo 2^32 and stays
         // monotone under the RFC 7323 wraparound-aware comparison.
+        use tcpstack::client::ts_ms;
         let wrap_ms: u64 = 1 << 32;
         let mut prev = SimTime::from_millis(wrap_ms - 50);
         for step in 1..=20u64 {
             let now = SimTime::from_millis(wrap_ms - 50 + step * 10);
-            assert!(ts_ms64(now) > ts_ms64(prev), "internal clock monotone");
             assert!(
                 tsval_newer_eq(ts_ms(now), ts_ms(prev)),
                 "wire TSval {} must be RFC-newer than {}",
@@ -1193,7 +1044,7 @@ mod tests {
         let mut prev_tsval: Option<u32> = None;
         for step in 0..40u64 {
             let now = SimTime::from_millis(wrap_ms - 200 + step * 10);
-            let syn = fleet.build_syn(idx, now);
+            let syn = fleet.flows.rec[idx].build_syn(fleet.ports(idx), now, true);
             let (tsval, _) = syn.timestamps().expect("fleet SYNs carry timestamps");
             if let Some(prev) = prev_tsval {
                 assert!(

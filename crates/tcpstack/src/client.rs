@@ -1,13 +1,21 @@
 //! The active (client) side of the handshake.
 //!
-//! [`ClientConn`] is a sans-IO state machine for one outgoing connection.
-//! It handles SYN (re)transmission, interprets plain and challenge-bearing
-//! SYN-ACKs, and — because solving costs CPU time that only the embedding
-//! host can model or spend — *surfaces* challenges as events rather than
-//! solving inline. The host answers with either
-//! [`ClientConn::provide_solution`] (a solving client, after paying the
-//! solve cost) or [`ClientConn::acknowledge_plain`] (a non-adopter or
-//! non-solving attacker; the paper's §6.5 scenarios).
+//! One sans-IO core speaks it for every client in the workspace: a
+//! `Copy` [`FlowRecord`] (our ISN, the server's ISN, the timestamp a
+//! solution echoes) whose methods accept a SYN-ACK and build each segment
+//! a client sends, plus the [`ts_ms`] clock and the [`syn_retransmit`]
+//! schedule. The `hostsim` fleets keep one record per flow in their flat
+//! tables and call the core directly, so a fleet flow sends
+//! [`ClientConn`]'s bytes by construction.
+//!
+//! [`ClientConn`] is a record plus its config, retransmit timer and
+//! counters: the state machine for one outgoing connection. Because
+//! solving costs CPU time that only the embedding host can model or
+//! spend, it *surfaces* challenges as events rather than solving inline.
+//! The host answers with either [`ClientConn::provide_solution`] (a
+//! solving client, after paying the solve cost) or
+//! [`ClientConn::acknowledge_plain`] (a non-adopter or non-solving
+//! attacker; the paper's §6.5 scenarios).
 //!
 //! Note the deception asymmetry from the paper (§5): a client whose ACK
 //! the server silently ignored *believes* it is established; only a later
@@ -21,6 +29,140 @@ use crate::options::{ChallengeOption, SolutionOption, TcpOption};
 use crate::segment::{SegmentBuilder, TcpFlags, TcpSegment};
 use netsim::{SimDuration, SimTime};
 
+/// MSS every client announces, in its SYN and in its solution block.
+pub const CLIENT_MSS: u16 = 1460;
+/// Window-scale shift every client announces.
+pub const CLIENT_WSCALE: u8 = 7;
+/// SYN retransmissions before a client gives up.
+const SYN_RETRIES: u32 = 3;
+/// Time from the first SYN to its first retransmission; it doubles per
+/// retransmission.
+pub const SYN_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+/// Millisecond clock of the TCP timestamps option. The TSval is the low
+/// 32 bits of the simulation's 64-bit clock, so it wraps every 2³² ms
+/// (≈ 49.7 days): RFC 7323 semantics, compared wraparound-aware.
+pub fn ts_ms(now: SimTime) -> u32 {
+    (now.as_nanos() / 1_000_000) as u32
+}
+
+/// The SYN retransmission schedule. The first timer is armed
+/// [`SYN_TIMEOUT`] after the SYN. When a timer fires after `sent`
+/// retransmissions, the client gives up (`None`) or retransmits and
+/// re-arms after the returned timeout: 1 s × 2^(sent + 1), so
+/// retransmissions go out at 1, 3 and 7 s and the client gives up at 15 s.
+pub fn syn_retransmit(sent: u32) -> Option<SimDuration> {
+    (sent < SYN_RETRIES).then(|| SYN_TIMEOUT * (1u64 << (sent + 1)))
+}
+
+/// A SYN-ACK that [`FlowRecord::on_synack`] accepted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SynAck<'a> {
+    /// No challenge: the handshake completes with a plain ACK.
+    Plain,
+    /// The server demands a puzzle solution.
+    Challenged(&'a ChallengeOption),
+}
+
+/// The per-flow state the client protocol needs: 12 bytes, `Copy`, so a
+/// fleet can keep one per flow in a flat table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FlowRecord {
+    /// Our initial sequence number.
+    pub isn: u32,
+    /// The server's ISN, recorded from its SYN-ACK.
+    pub server_isn: u32,
+    /// The timestamp a solution echoes: the challenge SYN-ACK's TSval,
+    /// or else the challenge block's embedded timestamp.
+    pub issued_at: u32,
+}
+
+impl FlowRecord {
+    /// A flow that has sent (or is about to send) its SYN with `isn`.
+    pub fn new(isn: u32) -> Self {
+        FlowRecord {
+            isn,
+            ..FlowRecord::default()
+        }
+    }
+
+    /// Accepts a SYN-ACK that acknowledges our SYN, recording the
+    /// server's ISN and, for a challenge, the timestamp to echo; any
+    /// other segment is ignored (`None`). The caller checks that the
+    /// flow is still waiting for a SYN-ACK.
+    pub fn on_synack<'s>(&mut self, seg: &'s TcpSegment) -> Option<SynAck<'s>> {
+        if !seg.flags.contains(TcpFlags::SYN | TcpFlags::ACK) || seg.ack != self.isn.wrapping_add(1)
+        {
+            return None;
+        }
+        self.server_isn = seg.seq;
+        let Some(copt) = seg.challenge() else {
+            return Some(SynAck::Plain);
+        };
+        self.issued_at = seg
+            .timestamps()
+            .map(|(tsval, _)| tsval)
+            .or(copt.timestamp)
+            .unwrap_or(0);
+        Some(SynAck::Challenged(copt))
+    }
+
+    /// The SYN (first or retransmitted) from `ports` = (ours, theirs),
+    /// with a TS option iff `timestamps`.
+    pub fn build_syn(&self, ports: (u16, u16), now: SimTime, timestamps: bool) -> TcpSegment {
+        let mut syn = SegmentBuilder::new(ports.0, ports.1)
+            .seq(self.isn)
+            .flags(TcpFlags::SYN)
+            .mss(CLIENT_MSS)
+            .window_scale(CLIENT_WSCALE);
+        if timestamps {
+            syn = syn.timestamps(ts_ms(now), 0);
+        }
+        syn.build()
+    }
+
+    /// An ACK of the server's SYN, before options and payload.
+    fn ack(&self, ports: (u16, u16)) -> SegmentBuilder {
+        SegmentBuilder::new(ports.0, ports.1)
+            .seq(self.isn.wrapping_add(1))
+            .ack_num(self.server_isn.wrapping_add(1))
+            .flags(TcpFlags::ACK)
+    }
+
+    /// The handshake-completing ACK without a solution: the answer to a
+    /// plain SYN-ACK, or a non-solving host's answer to a challenge.
+    pub fn build_plain_ack(&self, ports: (u16, u16)) -> TcpSegment {
+        self.ack(ports).build()
+    }
+
+    /// The solution ACK carrying `proofs`. With `timestamps` the echoed
+    /// timestamp rides in the TS option; without, it is embedded in the
+    /// solution block.
+    pub fn build_solution_ack(
+        &self,
+        ports: (u16, u16),
+        now: SimTime,
+        proofs: &[Vec<u8>],
+        timestamps: bool,
+    ) -> TcpSegment {
+        let embed = (!timestamps).then_some(self.issued_at);
+        let sol = SolutionOption::build(CLIENT_MSS, CLIENT_WSCALE, proofs, embed);
+        let mut ack = self.ack(ports).option(TcpOption::Solution(sol));
+        if timestamps {
+            ack = ack.timestamps(ts_ms(now), self.issued_at);
+        }
+        ack.build()
+    }
+
+    /// The request: `payload` on the established flow.
+    pub fn build_request(&self, ports: (u16, u16), payload: Vec<u8>) -> TcpSegment {
+        self.ack(ports)
+            .flags(TcpFlags::ACK | TcpFlags::PSH)
+            .payload(payload)
+            .build()
+    }
+}
+
 /// Client connection configuration.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
@@ -32,14 +174,8 @@ pub struct ClientConfig {
     pub remote_addr: Ipv4Addr,
     /// Server port.
     pub remote_port: u16,
-    /// MSS to announce.
-    pub mss: u16,
     /// Whether to send the timestamps option.
     pub use_timestamps: bool,
-    /// SYN retransmissions before giving up.
-    pub syn_retries: u32,
-    /// Initial SYN retransmission timeout (doubles per retry).
-    pub syn_timeout: SimDuration,
 }
 
 impl ClientConfig {
@@ -55,10 +191,7 @@ impl ClientConfig {
             local_port,
             remote_addr,
             remote_port,
-            mss: 1460,
             use_timestamps: true,
-            syn_retries: 3,
-            syn_timeout: SimDuration::from_secs(1),
         }
     }
 }
@@ -109,10 +242,7 @@ pub enum ClientEvent {
 pub struct ClientConn {
     cfg: ClientConfig,
     state: ClientState,
-    isn: u32,
-    server_isn: u32,
-    /// Pending challenge context (when `Challenged`).
-    challenge: Option<(ChallengeOption, u32)>,
+    flow: FlowRecord,
     retries: u32,
     next_retx: SimTime,
     started: SimTime,
@@ -123,35 +253,27 @@ pub struct ClientConn {
 impl ClientConn {
     /// Opens a connection: returns the state machine and the initial SYN.
     pub fn connect(cfg: ClientConfig, isn: u32, now: SimTime) -> (Self, TcpSegment) {
-        let syn = Self::build_syn(&cfg, isn, now);
-        let next_retx = now + cfg.syn_timeout;
-        (
-            ClientConn {
-                cfg,
-                state: ClientState::SynSent,
-                isn,
-                server_isn: 0,
-                challenge: None,
-                retries: 0,
-                next_retx,
-                started: now,
-                established_at: None,
-                bytes_received: 0,
-            },
-            syn,
-        )
+        let conn = ClientConn {
+            cfg,
+            state: ClientState::SynSent,
+            flow: FlowRecord::new(isn),
+            retries: 0,
+            next_retx: now + SYN_TIMEOUT,
+            started: now,
+            established_at: None,
+            bytes_received: 0,
+        };
+        let syn = conn.syn(now);
+        (conn, syn)
     }
 
-    fn build_syn(cfg: &ClientConfig, isn: u32, now: SimTime) -> TcpSegment {
-        let mut b = SegmentBuilder::new(cfg.local_port, cfg.remote_port)
-            .seq(isn)
-            .flags(TcpFlags::SYN)
-            .mss(cfg.mss)
-            .window_scale(7);
-        if cfg.use_timestamps {
-            b = b.timestamps(ts_ms(now), 0);
-        }
-        b.build()
+    fn ports(&self) -> (u16, u16) {
+        (self.cfg.local_port, self.cfg.remote_port)
+    }
+
+    fn syn(&self, now: SimTime) -> TcpSegment {
+        let ts = self.cfg.use_timestamps;
+        self.flow.build_syn(self.ports(), now, ts)
     }
 
     /// Current state.
@@ -180,9 +302,9 @@ impl ClientConn {
         self.bytes_received
     }
 
-    /// The pending challenge, if the server demanded one.
-    pub fn pending_challenge(&self) -> Option<&(ChallengeOption, u32)> {
-        self.challenge.as_ref()
+    fn establish(&mut self, now: SimTime) {
+        self.state = ClientState::Established;
+        self.established_at = Some(now);
     }
 
     /// Feeds an inbound segment; returns an optional reply plus events.
@@ -201,41 +323,22 @@ impl ClientConn {
         }
 
         match self.state {
-            ClientState::SynSent => {
-                if seg.flags.contains(TcpFlags::SYN | TcpFlags::ACK)
-                    && seg.ack == self.isn.wrapping_add(1)
-                {
-                    self.server_isn = seg.seq;
-                    if let Some(copt) = seg.challenge() {
-                        // Timestamp: prefer the TS option's tsval (which we
-                        // must echo), else the embedded field.
-                        let issued_at = seg
-                            .timestamps()
-                            .map(|(tsval, _)| tsval)
-                            .or(copt.timestamp)
-                            .unwrap_or(0);
-                        self.challenge = Some((copt.clone(), issued_at));
-                        self.state = ClientState::Challenged;
-                        events.push(ClientEvent::Challenged {
-                            challenge: copt.clone(),
-                            issued_at,
-                        });
-                        (None, events)
-                    } else {
-                        self.state = ClientState::Established;
-                        self.established_at = Some(now);
-                        events.push(ClientEvent::Established);
-                        let ack = SegmentBuilder::new(self.cfg.local_port, self.cfg.remote_port)
-                            .seq(self.isn.wrapping_add(1))
-                            .ack_num(self.server_isn.wrapping_add(1))
-                            .flags(TcpFlags::ACK)
-                            .build();
-                        (Some(ack), events)
-                    }
-                } else {
+            ClientState::SynSent => match self.flow.on_synack(seg) {
+                Some(SynAck::Challenged(copt)) => {
+                    self.state = ClientState::Challenged;
+                    events.push(ClientEvent::Challenged {
+                        challenge: copt.clone(),
+                        issued_at: self.flow.issued_at,
+                    });
                     (None, events)
                 }
-            }
+                Some(SynAck::Plain) => {
+                    self.establish(now);
+                    events.push(ClientEvent::Established);
+                    (Some(self.flow.build_plain_ack(self.ports())), events)
+                }
+                None => (None, events),
+            },
             ClientState::Challenged => (None, events), // waiting on the host
             ClientState::Established | ClientState::Closed => {
                 if !seg.payload.is_empty() || seg.flags.contains(TcpFlags::FIN) {
@@ -263,26 +366,10 @@ impl ClientConn {
     ///
     /// Panics if no challenge is pending.
     pub fn provide_solution(&mut self, now: SimTime, proofs: &[Vec<u8>]) -> TcpSegment {
-        let (copt, issued_at) = self.challenge.take().expect("no pending challenge");
-        self.state = ClientState::Established;
-        self.established_at = Some(now);
-        // Embed the timestamp in the block only when timestamps are off.
-        let (embed, ts_opt) = if self.cfg.use_timestamps {
-            (None, Some((ts_ms(now), issued_at)))
-        } else {
-            (Some(issued_at), None)
-        };
-        let sol = SolutionOption::build(self.cfg.mss, 7, proofs, embed);
-        let mut b = SegmentBuilder::new(self.cfg.local_port, self.cfg.remote_port)
-            .seq(self.isn.wrapping_add(1))
-            .ack_num(self.server_isn.wrapping_add(1))
-            .flags(TcpFlags::ACK)
-            .option(TcpOption::Solution(sol));
-        if let Some((tsval, tsecr)) = ts_opt {
-            b = b.timestamps(tsval, tsecr);
-        }
-        let _ = copt;
-        b.build()
+        assert_eq!(self.state, ClientState::Challenged, "no pending challenge");
+        self.establish(now);
+        self.flow
+            .build_solution_ack(self.ports(), now, proofs, self.cfg.use_timestamps)
     }
 
     /// Acknowledges a challenge *without* solving it (a non-adopting
@@ -293,14 +380,9 @@ impl ClientConn {
     ///
     /// Panics if no challenge is pending.
     pub fn acknowledge_plain(&mut self, now: SimTime) -> TcpSegment {
-        assert!(self.challenge.take().is_some(), "no pending challenge");
-        self.state = ClientState::Established;
-        self.established_at = Some(now);
-        SegmentBuilder::new(self.cfg.local_port, self.cfg.remote_port)
-            .seq(self.isn.wrapping_add(1))
-            .ack_num(self.server_isn.wrapping_add(1))
-            .flags(TcpFlags::ACK)
-            .build()
+        assert_eq!(self.state, ClientState::Challenged, "no pending challenge");
+        self.establish(now);
+        self.flow.build_plain_ack(self.ports())
     }
 
     /// Sends application data (e.g. the HTTP-like request).
@@ -314,12 +396,7 @@ impl ClientConn {
             ClientState::Established,
             "send on non-established connection"
         );
-        SegmentBuilder::new(self.cfg.local_port, self.cfg.remote_port)
-            .seq(self.isn.wrapping_add(1))
-            .ack_num(self.server_isn.wrapping_add(1))
-            .flags(TcpFlags::ACK | TcpFlags::PSH)
-            .payload(payload)
-            .build()
+        self.flow.build_request(self.ports(), payload)
     }
 
     /// Drives SYN retransmission; call when a timer fires. Returns a SYN
@@ -328,14 +405,13 @@ impl ClientConn {
         if self.state != ClientState::SynSent || now < self.next_retx {
             return (None, Vec::new());
         }
-        if self.retries >= self.cfg.syn_retries {
+        let Some(timeout) = syn_retransmit(self.retries) else {
             self.state = ClientState::Failed;
             return (None, vec![ClientEvent::TimedOut]);
-        }
+        };
         self.retries += 1;
-        let backoff = self.cfg.syn_timeout * (1u64 << self.retries.min(16));
-        self.next_retx = now + backoff;
-        (Some(Self::build_syn(&self.cfg, self.isn, now)), Vec::new())
+        self.next_retx = now + timeout;
+        (Some(self.syn(now)), Vec::new())
     }
 
     /// The next instant at which [`ClientConn::poll`] has work to do, if
@@ -343,11 +419,6 @@ impl ClientConn {
     pub fn next_deadline(&self) -> Option<SimTime> {
         (self.state == ClientState::SynSent).then_some(self.next_retx)
     }
-}
-
-/// Millisecond timestamp clock for the TCP timestamps option.
-fn ts_ms(now: SimTime) -> u32 {
-    (now.as_nanos() / 1_000_000) as u32
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ pub mod ring;
 pub mod segment;
 pub mod shard;
 
-pub use client::{ClientConfig, ClientConn, ClientEvent, ClientState};
+pub use client::{ClientConfig, ClientConn, ClientEvent, ClientState, FlowRecord, SynAck};
 pub use cookie::SynCookieCodec;
 pub use listener::{
     puzzle_clock, FlowKey, Listener, ListenerConfig, ListenerCore, ListenerEvent, ListenerStats,

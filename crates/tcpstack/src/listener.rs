@@ -731,7 +731,7 @@ impl<B: HashBackend> ListenerCore<B> {
             // Exponential backoff: timeout × 2^retries.
             let backoff = base * (1u64 << half.retries.min(16));
             half.next_retx = now + backoff;
-            let seg = build_synack(
+            let seg = synack_segment(
                 port,
                 *flow,
                 half.server_isn,
@@ -1150,7 +1150,7 @@ impl<B: HashBackend> Listener<B> {
             // Duplicate SYN for an existing half-open: retransmit the
             // SYN-ACK. SYN for an already-established flow: ignore.
             if let Some(half) = self.core.listen_q.get(&flow) {
-                let reply = build_synack(
+                let reply = synack_segment(
                     self.core.cfg.port,
                     flow,
                     half.server_isn,
@@ -1207,7 +1207,7 @@ impl<B: HashBackend> Listener<B> {
             peer_tsval: client_ts.unwrap_or(0),
             has_ts: client_ts.is_some(),
         };
-        let reply = build_synack(
+        let reply = synack_segment(
             self.core.cfg.port,
             flow,
             server_isn,
@@ -1290,7 +1290,7 @@ fn isn_from_tag(tag: &Digest) -> u32 {
 }
 
 /// Builds a stateful SYN-ACK with the standard option set.
-pub(crate) fn build_synack(
+pub(crate) fn synack_segment(
     port: u16,
     flow: FlowKey,
     server_isn: u32,

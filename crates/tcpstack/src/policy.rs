@@ -52,7 +52,7 @@ use std::sync::Arc;
 use crate::adaptive::{AdaptiveDifficulty, AdaptiveObservation};
 use crate::cookie::SynCookieCodec;
 use crate::listener::{
-    build_synack, cookie_counter, puzzle_clock, EstablishedVia, FlowKey, ListenerConfig,
+    cookie_counter, puzzle_clock, synack_segment, EstablishedVia, FlowKey, ListenerConfig,
     ListenerCore, ListenerEvent, ListenerOutput, PuzzleConfig, SynCacheConfig,
 };
 use crate::options::{ChallengeOption, SolutionOption, TcpOption};
@@ -750,7 +750,7 @@ impl<B: HashBackend> DefensePolicy<B> for SynCacheDefense {
         let server_isn = core.next_server_isn(flow);
         self.cache
             .insert(flow, (server_isn, now + self.cfg.lifetime));
-        let reply = build_synack(
+        let reply = synack_segment(
             port,
             flow,
             server_isn,

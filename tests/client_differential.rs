@@ -213,7 +213,7 @@ fn run_fleet<N: Node<TcpSegment>>(node: &mut N, script: &Script, seed: u64) -> V
     let (t0, isn) = (out[0].0, first_syn(&out).seq);
     let mut at = t0;
     for &(offset, make) in &script.steps {
-        at = at + offset;
+        at += offset;
         step_until(&mut h, node, at, &mut out);
         h.deliver(
             node,
@@ -251,7 +251,7 @@ fn run_reference(script: &Script, behavior: Behavior, fleet: &[Sent]) -> Vec<Sen
     };
     let mut at = t0;
     for &(offset, make) in &script.steps {
-        at = at + offset;
+        at += offset;
         poll_until(&mut conn, at, &mut out);
         let (reply, events) = conn.on_segment(at, &make(isn));
         if let Some(seg) = reply {
@@ -294,10 +294,6 @@ fn fleet_solution(fleet: &[Sent]) -> (SimTime, Vec<Vec<u8>>) {
             Some((*at, proofs))
         })
         .expect("a solving fleet sends a solution ACK")
-}
-
-fn real_solver() -> SolveStrategy {
-    SolveStrategy::Real
 }
 
 fn bot_fleet(solve: Option<SolveStrategy>) -> BotFleet {
@@ -358,7 +354,7 @@ fn assert_same(host: &str, script: &Script, fleet: &[Sent], reference: &[Sent]) 
 #[test]
 fn bot_fleets_send_client_conn_bytes() {
     for (host, solve, seed) in [
-        ("solving BotFleet", Some(real_solver()), 11),
+        ("solving BotFleet", Some(SolveStrategy::Real), 11),
         ("stock BotFleet", None, 12),
     ] {
         let behavior = Behavior {
@@ -379,7 +375,7 @@ fn client_fleets_send_client_conn_bytes() {
     for (host, behavior, seed) in [
         (
             "solving ClientFleet",
-            SolveBehavior::Solve(real_solver()),
+            SolveBehavior::Solve(SolveStrategy::Real),
             21,
         ),
         ("non-solving ClientFleet", SolveBehavior::Ignore, 22),
