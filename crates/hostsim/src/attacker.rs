@@ -266,7 +266,7 @@ impl AttackerHost {
     /// One firing of the attack's send loop.
     fn fire(&mut self, ctx: &mut Context<'_, TcpSegment>) {
         let now = ctx.now();
-        match self.params.kind.clone() {
+        match self.params.kind {
             AttackKind::SynFlood { spoof, .. } => {
                 let src = if spoof {
                     spoofed_source(ctx.rng())
@@ -361,8 +361,8 @@ impl AttackerHost {
                     challenge,
                     issued_at,
                 } => {
-                    let solve = match self.params.kind.clone() {
-                        AttackKind::ConnFlood { solve, .. } => solve,
+                    let solve = match &self.params.kind {
+                        AttackKind::ConnFlood { solve, .. } => solve.as_ref(),
                         AttackKind::ReplayFlood { solve, .. } => Some(solve),
                         _ => None,
                     };

@@ -299,7 +299,7 @@ impl ClientHost {
                     challenge,
                     issued_at,
                 } => {
-                    match self.params.behavior.clone() {
+                    match &self.params.behavior {
                         SolveBehavior::Solve(strategy) => {
                             // Don't queue a solve that would finish after
                             // the request's give-up deadline — the user

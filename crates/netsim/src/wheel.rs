@@ -25,6 +25,19 @@
 //! (one `u64` per level; `trailing_zeros` locates the first occupied
 //! slot at or after the cursor).
 //!
+//! # Storage
+//!
+//! An event is filed about three times on average (once when scheduled,
+//! then once per cascade), so the slots hold 16-byte `(at, idx)`
+//! handles and the payload stays put: `schedule` writes `(seq, item)`
+//! into a slab entry once, and the pop takes it out once and threads
+//! the entry onto a free list. The slab grows 1024 entries at a time,
+//! never by reallocating, so growth copies nothing and the peak holds
+//! no second copy. A cascade drains its slot in place: the slot keeps
+//! its buffer, and once every slot has held the most handles it will
+//! see, schedule and pop allocate nothing
+//! (`tests/wheel_zero_alloc.rs`).
+//!
 //! # Ordering proof sketch
 //!
 //! Same-timestamp events always meet in the same slot in seq order:
@@ -44,6 +57,11 @@ use crate::time::SimTime;
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64
 const LEVELS: usize = 11; // 11 * 6 = 66 bits ≥ the 64-bit tick space
+/// Slab entries per chunk. The slab grows a chunk at a time so that no
+/// growth step copies the entries already there.
+const CHUNK: usize = 1024;
+/// End of the slab's free list.
+const NIL: u32 = u32::MAX;
 
 /// An entry in either queue: `(at, seq)` plus the caller's payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,6 +74,21 @@ pub struct Scheduled<T> {
     pub item: T,
 }
 
+/// What a wheel slot holds: the due tick and the slab index of the
+/// event's `(seq, item)`.
+#[derive(Clone, Copy, Debug)]
+struct Handle {
+    at: u64,
+    idx: u32,
+}
+
+/// A slab entry: a pending event's payload, or a link in the free list.
+#[derive(Debug)]
+enum Entry<T> {
+    Pending { seq: u64, item: T },
+    Free { next: u32 },
+}
+
 /// Hierarchical timer wheel keyed by `(SimTime, seq)`.
 ///
 /// See the module docs for the layout. The wheel has an internal
@@ -66,11 +99,16 @@ pub struct Scheduled<T> {
 pub struct TimerWheel<T> {
     /// Current cursor tick (nanoseconds). Events at `now` are legal.
     now: u64,
-    /// `slots[level][slot]` — events filed at that position.
-    slots: Vec<Vec<VecDeque<Scheduled<T>>>>,
+    /// `slots[level][slot]` — handles of the events filed there.
+    slots: Vec<Vec<VecDeque<Handle>>>,
     /// Per-level occupancy bitmaps (bit `s` set ⇔ `slots[level][s]`
     /// non-empty).
     occupied: [u64; LEVELS],
+    /// Event payloads, `CHUNK` entries per chunk; only the last chunk
+    /// may be partly filled.
+    slab: Vec<Vec<Entry<T>>>,
+    /// Head of the free list threaded through `Entry::Free`.
+    free: u32,
     len: usize,
 }
 
@@ -89,6 +127,8 @@ impl<T> TimerWheel<T> {
                 .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
                 .collect(),
             occupied: [0; LEVELS],
+            slab: Vec::new(),
+            free: NIL,
             len: 0,
         }
     }
@@ -120,12 +160,51 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    fn file(&mut self, ev: Scheduled<T>) {
-        let at = ev.at.as_nanos();
-        let level = Self::level_for(self.now, at);
-        let slot = (at >> (SLOT_BITS * level as u32)) as usize & (SLOTS - 1);
-        self.slots[level][slot].push_back(ev);
+    fn file(&mut self, h: Handle) {
+        let level = Self::level_for(self.now, h.at);
+        let slot = (h.at >> (SLOT_BITS * level as u32)) as usize & (SLOTS - 1);
+        self.slots[level][slot].push_back(h);
         self.occupied[level] |= 1 << slot;
+    }
+
+    fn entry(&mut self, idx: u32) -> &mut Entry<T> {
+        let idx = idx as usize;
+        &mut self.slab[idx / CHUNK][idx % CHUNK]
+    }
+
+    /// Stores a payload in a free slab entry (or a fresh one at the end
+    /// of the last chunk) and returns its index.
+    fn insert(&mut self, seq: u64, item: T) -> u32 {
+        let pending = Entry::Pending { seq, item };
+        if self.free != NIL {
+            let idx = self.free;
+            match std::mem::replace(self.entry(idx), pending) {
+                Entry::Free { next } => self.free = next,
+                Entry::Pending { .. } => unreachable!("free list names a pending entry"),
+            }
+            return idx;
+        }
+        if self.slab.last().is_none_or(|c| c.len() == CHUNK) {
+            self.slab.push(Vec::with_capacity(CHUNK));
+        }
+        let last = self.slab.len() - 1;
+        let chunk = &mut self.slab[last];
+        let idx = last * CHUNK + chunk.len();
+        chunk.push(pending);
+        u32::try_from(idx)
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("timer wheel slab exceeds u32 indices")
+    }
+
+    /// Takes the payload out of entry `idx` and frees the entry.
+    fn remove(&mut self, idx: u32) -> (u64, T) {
+        let next = self.free;
+        self.free = idx;
+        match std::mem::replace(self.entry(idx), Entry::Free { next }) {
+            Entry::Pending { seq, item } => (seq, item),
+            Entry::Free { .. } => unreachable!("wheel handle names a free entry"),
+        }
     }
 
     /// Schedules an event. O(1).
@@ -134,14 +213,16 @@ impl<T> TimerWheel<T> {
     /// or after its clock, and the cursor never outruns the clock
     /// beyond the last deadline it was asked about).
     pub fn schedule(&mut self, at: SimTime, seq: u64, item: T) {
+        let at = at.as_nanos();
         debug_assert!(
-            at.as_nanos() >= self.now,
+            at >= self.now,
             "scheduling in the wheel's past: {} < {}",
-            at.as_nanos(),
+            at,
             self.now
         );
+        let idx = self.insert(seq, item);
         self.len += 1;
-        self.file(Scheduled { at, seq, item });
+        self.file(Handle { at, idx });
     }
 
     /// First occupied slot of `level` at or after that level's cursor
@@ -152,14 +233,14 @@ impl<T> TimerWheel<T> {
         (masked != 0).then(|| masked.trailing_zeros() as usize)
     }
 
-    /// Re-files every event of `slots[level][slot]` at a lower level.
+    /// Re-files every handle of `slots[level][slot]` at a lower level.
     /// Insertion order — and therefore seq order among equal
-    /// timestamps — is preserved.
+    /// timestamps — is preserved. The slot keeps its buffer, so a
+    /// cascade allocates nothing once the slots it fills have grown.
     fn cascade(&mut self, level: usize, slot: usize) {
-        let events = std::mem::take(&mut self.slots[level][slot]);
         self.occupied[level] &= !(1 << slot);
-        for ev in events {
-            self.file(ev);
+        while let Some(h) = self.slots[level][slot].pop_front() {
+            self.file(h);
         }
     }
 
@@ -173,19 +254,24 @@ impl<T> TimerWheel<T> {
             // Level 0 first: slots in the current 64-tick window each
             // hold exactly one timestamp.
             if let Some(slot) = self.next_slot(0) {
-                let at = self.slots[0][slot][0].at.as_nanos();
+                let bucket = &mut self.slots[0][slot];
+                let at = bucket[0].at;
                 if at > deadline {
                     self.now = self.now.max(deadline);
                     return None;
                 }
-                self.now = at;
-                let bucket = &mut self.slots[0][slot];
-                let ev = bucket.pop_front().expect("occupied slot");
+                let h = bucket.pop_front().expect("occupied slot");
                 if bucket.is_empty() {
                     self.occupied[0] &= !(1 << slot);
                 }
+                self.now = at;
                 self.len -= 1;
-                return Some(ev);
+                let (seq, item) = self.remove(h.idx);
+                return Some(Scheduled {
+                    at: SimTime::from_nanos(at),
+                    seq,
+                    item,
+                });
             }
             // Level 0 exhausted in this window: cascade the earliest
             // upcoming higher-level slot and retry.
